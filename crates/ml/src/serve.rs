@@ -102,6 +102,14 @@ pub struct ServeSummary {
     /// Pull-latency tail, nanoseconds of virtual time.
     pub p99_ns: u64,
     pub p999_ns: u64,
+    /// Hot rows the servers promoted to every-server replicas.
+    pub promoted: u64,
+    /// Pulls the clients routed to a replica instead of the owner, and
+    /// those a replica answered with a miss (re-sent to the owner).
+    pub replica_reads: u64,
+    pub replica_misses: u64,
+    /// Virtual time from the first scheduled pull to the first promotion.
+    pub first_promotion_ns: Option<u64>,
 }
 
 /// Run one serving scenario: spawn the fleet as steppable daemon agents,
@@ -122,7 +130,9 @@ pub fn run_serve(builder: SimBuilder, spec: &ServeSpec) -> (ServeSummary, SimRep
     ));
     let matrix = MatrixId(1);
     let spec_c = spec.clone();
-    sim.spawn("serve-coordinator", move |ctx| {
+    // The coordinator returns the clock it released the population at:
+    // every agent's arrival 0 is scheduled at that instant.
+    let release = sim.spawn_collect("serve-coordinator", move |ctx| {
         // "Load the trained model": one idempotent CREATE per server with a
         // deterministic snapshot, the checkpoint stand-in.
         let init = InitKind::Uniform {
@@ -147,8 +157,10 @@ pub fn run_serve(builder: SimBuilder, spec: &ServeSpec) -> (ServeSummary, SimRep
             };
             ctx.spawn_agent(&format!("serve-clients-{a}"), ServeClientAgent::new(cfg));
         }
+        ctx.now()
     });
     let report = sim.run().expect("serve simulation failed");
+    let release = release.take();
     let issued = report.metrics.counter("ps.client.envelopes");
     let completed = report.metrics.counter("ps.client.op.pull.count");
     let (p99_ns, p999_ns) = report
@@ -163,6 +175,13 @@ pub fn run_serve(builder: SimBuilder, spec: &ServeSpec) -> (ServeSummary, SimRep
         virtual_ns: report.virtual_time.as_nanos(),
         p99_ns,
         p999_ns,
+        promoted: report.metrics.counter("ps.server.replica.promoted"),
+        replica_reads: report.metrics.counter("ps.client.replica_reads"),
+        replica_misses: report.metrics.counter("ps.client.replica_misses"),
+        first_promotion_ns: report
+            .metrics
+            .hist("ps.server.replica.promote_at")
+            .map(|h| h.min_ns().saturating_sub(release.as_nanos())),
     };
     (summary, report)
 }

@@ -42,8 +42,8 @@ use crate::master::PsFleet;
 use crate::plan::{MatrixId, PartitionPlan, PlanKind, RouteTable};
 use crate::protocol::{
     tags, AggKind, AggReq, AxpyReq, ColsSel, CrossDotReq, CrossElemReq, DotReq, ElemOp, ElemReq,
-    EnvelopeReq, FillReq, PullBlockReq, PullReq, PushBlockReq, PushData, PushReq, ScaleReq, SubReq,
-    ZipMapFn, ZipMapReq, ZipMutFn, ZipReq,
+    EnvelopeReq, FillReq, PullBlockReq, PullReq, PushBlockReq, PushData, PushReq, ReplicaFlag,
+    RowPullReply, ScaleReq, SubReq, ZipMapFn, ZipMapReq, ZipMutFn, ZipReq,
 };
 
 /// A handle to one distributed `rows × dim` matrix. Cheap to clone; safe to
@@ -209,10 +209,12 @@ impl MatrixHandle {
                     cols: ColsSel::All,
                     value_bytes: self.value_bytes,
                 };
-                let segs: Vec<Vec<f64>> = self
+                let reply: RowPullReply = self
                     .fabric_one(ctx, self.plan.row_owner(row), tags::PULL, req, HDR, 1)
                     .downcast();
-                segs.into_iter().flatten().collect()
+                // Owners always hold their rows; only replicas answer a miss.
+                debug_assert_ne!(reply.flag, ReplicaFlag::Miss);
+                reply.segs.into_iter().flatten().collect()
             }
         }
     }

@@ -28,6 +28,7 @@ mod consistency;
 mod master;
 mod plan;
 mod protocol;
+mod replica;
 mod serve;
 mod server;
 

@@ -135,12 +135,18 @@ impl PsFleet {
             let fresh = ctx.spawn_daemon(&name, ps_server_main);
             // Replay metadata, then load checkpointed values.
             let metas: Vec<_> = self.matrices.lock().clone();
+            let mut fleet: Vec<ProcId> = (0..self.route.n_slots())
+                .map(|s| self.route.resolve(s))
+                .collect();
+            fleet[slot] = fresh;
+            let fleet = Arc::new(fleet);
             for (id, plan, init) in &metas {
                 let req = CreateReq {
                     id: *id,
                     plan: Arc::clone(plan),
                     init: init.clone(),
                     slot,
+                    fleet: Arc::clone(&fleet),
                 };
                 let _: () = ctx.call(fresh, tags::CREATE, req, 96).downcast();
             }
@@ -264,6 +270,8 @@ impl PsMaster {
             .matrices
             .lock()
             .push((id, Arc::clone(&plan), init.clone()));
+        let fleet: Arc<Vec<ProcId>> =
+            Arc::new((0..route.n_slots()).map(|s| route.resolve(s)).collect());
         let reqs: Vec<(usize, CreateReq, u64)> = (0..route.n_slots())
             .map(|slot| {
                 let req = CreateReq {
@@ -271,6 +279,7 @@ impl PsMaster {
                     plan: Arc::clone(&plan),
                     init: init.clone(),
                     slot,
+                    fleet: Arc::clone(&fleet),
                 };
                 (slot, req, 96)
             })

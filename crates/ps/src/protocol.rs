@@ -35,6 +35,10 @@ pub(crate) mod tags {
     pub const PING: u32 = 34;
     /// Per-server coalescing container: many sub-requests, one message.
     pub const ENVELOPE: u32 = 35;
+    /// Server-to-server hot-row replica install/refresh: the owner ships a
+    /// promoted row's current value to a peer, which answers `()` once it
+    /// holds that version (or dropped it).
+    pub const REPLICA: u32 = 36;
     pub const STORE_PUT: u32 = 40;
     pub const STORE_GET: u32 = 41;
     // 60..=61 are the consistency clock service (REPORT/WAIT); see
@@ -65,6 +69,7 @@ pub(crate) mod tags {
             ZIP_ARGMAX => "zip_argmax",
             PING => "ping",
             ENVELOPE => "envelope",
+            REPLICA => "replica",
             STORE_PUT => "store_put",
             STORE_GET => "store_get",
             _ => "unknown",
@@ -147,6 +152,9 @@ pub(crate) struct CreateReq {
     pub init: InitKind,
     /// Which logical slot the receiving server occupies.
     pub slot: usize,
+    /// The fleet at creation time, indexed by slot: where an owner sends
+    /// replicas of its hot rows (row plans only; column plans ignore it).
+    pub fleet: Arc<Vec<ProcId>>,
 }
 
 #[derive(Clone)]
@@ -172,6 +180,39 @@ pub(crate) struct PullReq {
     pub cols: ColsSel,
     /// Bytes per value on the wire (8, or 4 with message compression).
     pub value_bytes: u64,
+}
+
+/// Reply to a whole-row (`ColsSel::All`) PULL on a row-partitioned matrix:
+/// the row's segments plus the answering server's replication flag.
+pub(crate) struct RowPullReply {
+    /// Empty on [`ReplicaFlag::Miss`].
+    pub segs: Vec<Vec<f64>>,
+    pub flag: ReplicaFlag,
+}
+
+/// What the server answering a whole-row pull knows about the row's
+/// replication. Rides in the reply's 16-byte header.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum ReplicaFlag {
+    /// Served by the owner; the row is not readable elsewhere.
+    Owned,
+    /// Every server holds this row: a client may send later reads of it to
+    /// any server.
+    Replicated,
+    /// A non-owner holding no replica of the row: re-send to the owner.
+    Miss,
+}
+
+/// Owner-to-peer replica of one promoted row (tag `REPLICA`). Installs and
+/// post-write refreshes are the same message: the full row at `version`.
+/// Peers keep the newest version they have seen, so a reordered or
+/// duplicated copy never rolls a replica back.
+#[derive(Clone)]
+pub(crate) struct ReplicaReq {
+    pub id: MatrixId,
+    pub row: u32,
+    pub version: u64,
+    pub segs: Arc<Vec<Vec<f64>>>,
 }
 
 #[derive(Clone)]

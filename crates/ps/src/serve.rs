@@ -21,8 +21,20 @@
 //! uniformly. Metrics land under the same `ps.client.*` names the training
 //! fabric uses (`ps.client.op.pull.latency` etc.), so the existing SLO
 //! objectives, watchdog burn-rate alerts, and report tables work unchanged.
+//!
+//! **Replica routing.** The servers replicate read-hot rows to every peer
+//! ([`crate::replica`]) and flag the owner's pull replies for those rows
+//! `Replicated`. An agent remembers flagged rows and sends later reads of
+//! them to `servers[(owner + h) % n]`, where `h` hashes (agent id, arrival
+//! index): every agent shares one schedule phase, so routing by arrival
+//! index alone would aim the whole population's synchronized bursts at one
+//! server. A replica that lacks the row answers a miss; the agent re-sends
+//! to the owner, forgets the hint and counts `ps.client.replica_misses`.
+//! The re-send is the same logical pull: it bumps neither
+//! `ps.client.envelopes` nor the pull count, and carries no request-trace
+//! token (the trace closes at the miss reply).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use ps2_simnet::{Envelope, Proc, ProcId, SimCtx, SimTime, StepCtx};
@@ -30,7 +42,8 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 use crate::plan::{MatrixId, PartitionPlan, PlanKind};
-use crate::protocol::{tags, ColsSel, CreateReq, InitKind, PullReq};
+use crate::protocol::{tags, ColsSel, CreateReq, InitKind, PullReq, ReplicaFlag, RowPullReply};
+use crate::server::mix64;
 
 /// Request-header wire bytes, matching the training client's accounting.
 const HDR: u64 = 48;
@@ -77,6 +90,8 @@ struct UserState {
 /// One in-flight pull, keyed by correlation id.
 struct InFlight {
     user: u32,
+    row: u32,
+    /// The arrival's scheduled time: latency includes any generator delay.
     issued_at: SimTime,
     req_bytes: u64,
 }
@@ -98,6 +113,10 @@ pub struct ServeClientAgent {
     total_arrivals: u64,
     outstanding: HashMap<u64, InFlight>,
     completed: u64,
+    /// Rows the owner flagged `Replicated`: readable on every server.
+    hinted: HashSet<u32>,
+    /// This agent's routing salt (a hash of its proc id, set in `on_start`).
+    salt: u64,
 }
 
 impl ServeClientAgent {
@@ -131,6 +150,8 @@ impl ServeClientAgent {
             total_arrivals,
             outstanding: HashMap::new(),
             completed: 0,
+            hinted: HashSet::new(),
+            salt: 0,
         }
     }
 
@@ -152,38 +173,62 @@ impl ServeClientAgent {
         }
     }
 
-    fn issue_due(&mut self, ctx: &mut StepCtx<'_>, start: SimTime) {
+    fn pull_req(&self, row: u32) -> PullReq {
+        PullReq {
+            id: self.cfg.matrix,
+            row,
+            cols: ColsSel::All,
+            value_bytes: self.cfg.value_bytes,
+        }
+    }
+
+    /// Server slot for arrival `i` reading `row`: the owner, or — for a
+    /// row the owner flagged replicated — `(owner + h) % n` with `h` a hash
+    /// of (agent, arrival). The row RNG is left untouched, so the rows a
+    /// run reads do not depend on routing.
+    fn route(&self, row: u32, i: u64) -> usize {
+        let owner = self.cfg.plan.row_owner(row);
+        if !self.hinted.contains(&row) {
+            return owner;
+        }
+        let n = self.cfg.servers.len();
+        (owner + (mix64(self.salt ^ i) % n as u64) as usize) % n
+    }
+
+    fn issue_due(&mut self, ctx: &mut StepCtx<'_>) {
         let now = ctx.now();
         while self.next_arrival < self.total_arrivals
-            && start + self.arrival_offset(self.next_arrival) <= now
+            && self.start + self.arrival_offset(self.next_arrival) <= now
         {
             let i = self.next_arrival;
             self.next_arrival += 1;
             let user = (i % self.cfg.users as u64) as u32;
             let row = self.pick_row(ctx.rng());
-            let req = PullReq {
-                id: self.cfg.matrix,
-                row,
-                cols: ColsSel::All,
-                value_bytes: self.cfg.value_bytes,
-            };
-            let dst = self.cfg.servers[self.cfg.plan.row_owner(row)];
+            let slot = self.route(row, i);
+            if slot != self.cfg.plan.row_owner(row) {
+                ctx.metric_add("ps.client.replica_reads", 1);
+            }
             let token = ctx.req_begin_batch("pull", 1).first().copied();
             ctx.metric_add("ps.client.envelopes", 1);
-            let corr = ctx.send_request_traced(dst, tags::PULL, req, HDR, token);
+            let req = self.pull_req(row);
+            let corr = ctx.send_request_traced(self.cfg.servers[slot], tags::PULL, req, HDR, token);
             self.users[user as usize].issued += 1;
             self.outstanding.insert(
                 corr,
                 InFlight {
                     user,
-                    issued_at: now,
+                    row,
+                    issued_at: self.start + self.arrival_offset(i),
                     req_bytes: HDR,
                 },
             );
         }
         if self.next_arrival < self.total_arrivals {
-            let next_at = start + self.arrival_offset(self.next_arrival);
-            ctx.set_timer(next_at.saturating_sub(now));
+            // Measured from the clock after this step's sends (each costs
+            // the per-message overhead), so the timer fires exactly at the
+            // next arrival's scheduled time.
+            let next_at = self.start + self.arrival_offset(self.next_arrival);
+            ctx.set_timer(next_at.saturating_sub(ctx.now()));
         }
     }
 
@@ -200,18 +245,17 @@ impl Proc for ServeClientAgent {
         // Remember our spawn clock as the schedule origin by anchoring
         // arrival 0 now; all offsets are relative to this instant.
         self.start = ctx.now();
+        self.salt = mix64(ctx.id().0 as u64);
         if self.total_arrivals == 0 {
             ctx.finish();
             return;
         }
-        let start = self.start;
-        self.issue_due(ctx, start);
+        self.issue_due(ctx);
         self.maybe_finish(ctx);
     }
 
     fn on_timer(&mut self, ctx: &mut StepCtx<'_>, _timer: u64) {
-        let start = self.start;
-        self.issue_due(ctx, start);
+        self.issue_due(ctx);
         self.maybe_finish(ctx);
     }
 
@@ -219,9 +263,28 @@ impl Proc for ServeClientAgent {
         if !env.is_reply() {
             return;
         }
-        let Some(inf) = self.outstanding.remove(&env.corr) else {
+        let Some(mut inf) = self.outstanding.remove(&env.corr) else {
             return;
         };
+        match env.downcast_ref::<RowPullReply>().flag {
+            ReplicaFlag::Miss => {
+                // The replica does not hold the row: ask the owner, which
+                // always does. Same logical pull, so no envelope or pull
+                // count and no new trace token.
+                self.hinted.remove(&inf.row);
+                ctx.metric_add("ps.client.replica_misses", 1);
+                inf.req_bytes += env.bytes + HDR;
+                let owner = self.cfg.servers[self.cfg.plan.row_owner(inf.row)];
+                let req = self.pull_req(inf.row);
+                let corr = ctx.send_request_traced(owner, tags::PULL, req, HDR, None);
+                self.outstanding.insert(corr, inf);
+                return;
+            }
+            ReplicaFlag::Replicated => {
+                self.hinted.insert(inf.row);
+            }
+            ReplicaFlag::Owned => {}
+        }
         self.completed += 1;
         self.users[inf.user as usize].completed += 1;
         ctx.metric_add("ps.client.op.pull.count", 1);
@@ -244,12 +307,14 @@ pub fn create_serve_table(
     plan: &Arc<PartitionPlan>,
     init: InitKind,
 ) {
+    let fleet = Arc::new(servers.to_vec());
     for (slot, &server) in servers.iter().enumerate() {
         let req = CreateReq {
             id,
             plan: Arc::clone(plan),
             init: init.clone(),
             slot,
+            fleet: Arc::clone(&fleet),
         };
         ctx.call(server, tags::CREATE, req, 96);
     }
@@ -260,7 +325,7 @@ mod tests {
     use super::*;
     use crate::plan::Partitioning;
     use crate::server::PsServerAgent;
-    use ps2_simnet::SimBuilder;
+    use ps2_simnet::{NetConfig, SimBuilder, TraceEvent};
 
     fn run_serve_window(users: u32, period_ms: u64, duration_ms: u64) -> ps2_simnet::SimReport {
         let mut sim = SimBuilder::new().seed(7).build();
@@ -309,5 +374,120 @@ mod tests {
         let report = run_serve_window(1000, 10, 25);
         assert_eq!(report.metrics.counter("ps.client.envelopes"), 2_500);
         assert_eq!(report.metrics.counter("ps.client.op.pull.count"), 2_500);
+    }
+
+    /// Open-loop honesty: arrival `i` goes on the wire at exactly
+    /// `start + arrival_offset(i)` — the timer for the next arrival must not
+    /// inherit the per-message overhead of the sends before it.
+    #[test]
+    fn every_arrival_is_issued_on_schedule() {
+        let (users, period_ms, duration_ms) = (100u32, 1u64, 5u64);
+        let mut sim = SimBuilder::new().seed(7).trace(true).build();
+        let servers: Vec<_> = (0..4)
+            .map(|i| sim.spawn_agent_daemon(&format!("ps-{i}"), PsServerAgent::new()))
+            .collect();
+        let plan = Arc::new(PartitionPlan::new(16, 512, 4, Partitioning::Row));
+        let id = MatrixId(9);
+        sim.spawn("coord", move |ctx| {
+            create_serve_table(ctx, &servers, id, &plan, InitKind::Zero);
+            let cfg = ServeClientConfig {
+                servers,
+                matrix: id,
+                plan,
+                users,
+                user_period: SimTime::from_millis(period_ms),
+                duration: SimTime::from_millis(duration_ms),
+                zipf_fraction: 0.5,
+                zipf_exponent: 1.0,
+                value_bytes: 8,
+            };
+            ctx.spawn_agent("clients", ServeClientAgent::new(cfg));
+        });
+        let report = sim.run().unwrap();
+        let client = report
+            .procs
+            .iter()
+            .position(|p| p.name == "clients")
+            .expect("client agent");
+        let overhead = NetConfig::default().per_msg_overhead;
+        // A send's trace time is after its own overhead.
+        let issued: Vec<SimTime> = report
+            .trace
+            .iter()
+            .filter_map(|e| match *e {
+                TraceEvent::Send { at, src, tag, .. } if src.0 == client && tag == tags::PULL => {
+                    Some(at - overhead)
+                }
+                _ => None,
+            })
+            .collect();
+        let arrivals = users as u64 * duration_ms / period_ms;
+        assert_eq!(issued.len() as u64, arrivals);
+        let start = issued[0];
+        let gap_ns = period_ms * 1_000_000 / users as u64;
+        for (i, &t) in issued.iter().enumerate() {
+            assert_eq!(
+                t,
+                start + SimTime(i as u64 * gap_ns),
+                "arrival {i} issued late"
+            );
+        }
+    }
+
+    /// A server that acks replica installs without keeping them: every
+    /// read a hinted client routes to it misses.
+    struct ForgetfulServer(PsServerAgent);
+
+    impl Proc for ForgetfulServer {
+        fn on_message(&mut self, ctx: &mut StepCtx<'_>, env: Envelope) {
+            if env.tag == tags::REPLICA && !env.is_reply() {
+                ctx.reply(&env, (), 8);
+                return;
+            }
+            self.0.on_message(ctx, env);
+        }
+    }
+
+    /// Replica misses fall back to the owner: every scheduled pull still
+    /// completes exactly once, and the re-sends count neither as issued
+    /// envelopes nor as extra pulls.
+    #[test]
+    fn replica_miss_falls_back_to_the_owner() {
+        let mut sim = SimBuilder::new().seed(7).build();
+        let mut servers: Vec<_> = (0..3)
+            .map(|i| sim.spawn_agent_daemon(&format!("ps-{i}"), PsServerAgent::new()))
+            .collect();
+        servers.push(sim.spawn_agent_daemon("ps-3", ForgetfulServer(PsServerAgent::new())));
+        let plan = Arc::new(PartitionPlan::new(16, 512, 4, Partitioning::Row));
+        let id = MatrixId(9);
+        let cfg = ServeClientConfig {
+            servers: servers.clone(),
+            matrix: id,
+            plan: Arc::clone(&plan),
+            users: 1000,
+            user_period: SimTime::from_millis(10),
+            duration: SimTime::from_millis(50),
+            zipf_fraction: 0.9,
+            zipf_exponent: 1.2,
+            value_bytes: 8,
+        };
+        let scheduled = cfg.total_arrivals();
+        sim.spawn("coord", move |ctx| {
+            create_serve_table(ctx, &servers, id, &plan, InitKind::Zero);
+            ctx.spawn_agent("clients", ServeClientAgent::new(cfg));
+        });
+        let report = sim.run().unwrap();
+        let m = &report.metrics;
+        assert!(m.counter("ps.server.replica.promoted") > 0);
+        assert!(
+            m.counter("ps.client.replica_misses") > 0,
+            "no read hit the forgetful server"
+        );
+        assert_eq!(m.counter("ps.client.envelopes"), scheduled);
+        assert_eq!(m.counter("ps.client.op.pull.count"), scheduled);
+        assert_eq!(
+            m.hist("ps.client.op.pull.latency").unwrap().count(),
+            scheduled
+        );
     }
 }

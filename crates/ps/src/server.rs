@@ -8,16 +8,17 @@ use ps2_simnet::{Envelope, Proc, ProcId, SimCtx, SimRuntime, SimTime, StepCtx};
 
 use crate::plan::{MatrixId, PartitionPlan, PlanKind};
 use crate::protocol::{
-    tags, AggKind, AggReq, AxpyReq, CheckpointReq, CreateReq, CrossDotReq, CrossElemReq, DotReq,
-    ElemReq, EnvelopeReq, FetchSegReq, FillReq, FreeReq, InitKind, PullBlockReq, PullReq,
-    PushBlockReq, PushData, PushReq, RestoreReq, ScaleReq, Snapshot, StoreGetReq, StoreGetResp,
-    StorePutReq, ZipMapReq, ZipReq, ZipSegs,
+    tags, AggKind, AggReq, AxpyReq, CheckpointReq, ColsSel, CreateReq, CrossDotReq, CrossElemReq,
+    DotReq, ElemReq, EnvelopeReq, FetchSegReq, FillReq, FreeReq, InitKind, PullBlockReq, PullReq,
+    PushBlockReq, PushData, PushReq, ReplicaFlag, ReplicaReq, RestoreReq, RowPullReply, ScaleReq,
+    Snapshot, StoreGetReq, StoreGetResp, StorePutReq, ZipMapReq, ZipReq, ZipSegs,
 };
+use crate::replica::{AckOutcome, Fanouts, RowReplication};
 
 /// splitmix64: the deterministic per-element hash behind `InitKind::Uniform`,
 /// so initialization is identical no matter which server materializes a cell.
 #[inline]
-fn mix64(mut x: u64) -> u64 {
+pub(crate) fn mix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -48,10 +49,17 @@ struct Shard {
     /// Column plans: `row_slot` is the row index (all rows present).
     /// Row plans: `row_slot` indexes `owned_rows`, with one range.
     data: Vec<Vec<Vec<f64>>>,
+    /// Row plans on a fleet of two or more: hot-row replication state.
+    repl: Option<Box<RowReplication>>,
 }
 
 impl Shard {
-    fn build(slot: usize, plan: Arc<PartitionPlan>, init: &InitKind) -> Shard {
+    fn build(
+        slot: usize,
+        plan: Arc<PartitionPlan>,
+        init: &InitKind,
+        fleet: &Arc<Vec<ProcId>>,
+    ) -> Shard {
         match &plan.kind {
             PlanKind::Column { .. } => {
                 let ranges = plan.ranges_of(slot);
@@ -68,9 +76,10 @@ impl Shard {
                     ranges,
                     owned_rows: Vec::new(),
                     data,
+                    repl: None,
                 }
             }
-            PlanKind::Row { .. } => {
+            &PlanKind::Row { n_slots } => {
                 let owned_rows: Vec<u32> = (0..plan.rows)
                     .filter(|&r| plan.row_owner(r) == slot)
                     .collect();
@@ -84,6 +93,7 @@ impl Shard {
                     ranges: vec![(0, dim)],
                     owned_rows,
                     data,
+                    repl: RowReplication::new(Arc::clone(fleet), slot, n_slots).map(Box::new),
                 }
             }
         }
@@ -94,15 +104,15 @@ impl Shard {
     }
 
     /// Resolve a row to its slot in `data`; panics if a row plan does not
-    /// own the row (a routing bug).
+    /// own the row (a routing bug). `owned_rows` is ascending by
+    /// construction, so row plans binary-search it.
     fn slot(&self, row: u32) -> usize {
         if self.is_column() {
             row as usize
         } else {
             self.owned_rows
-                .iter()
-                .position(|&r| r == row)
-                .unwrap_or_else(|| panic!("row {row} not owned by this server"))
+                .binary_search(&row)
+                .unwrap_or_else(|_| panic!("row {row} not owned by this server"))
         }
     }
 
@@ -223,24 +233,46 @@ fn mutation_key(tag: u32, payload: &dyn Any) -> Option<(MatrixId, u64)> {
     }
 }
 
-/// The PS-server loop: stores shards, executes row- and column-access ops.
-///
-/// Each request records its queue time (arrival → dequeue: how long it sat
-/// behind earlier work) and service time (dequeue → reply sent) into
-/// per-variant histograms `ps.server.{op}.queue` / `.service`.
+/// The rows a mutating request writes (row plans: the rows whose replicas
+/// a write must refresh). Mirrors [`mutation_key`]'s tag list.
+fn mutated_rows(tag: u32, payload: &dyn Any) -> Vec<u32> {
+    let mut rows = match tag {
+        tags::PUSH => vec![cast::<PushReq>(tag, payload).row],
+        tags::AXPY => vec![cast::<AxpyReq>(tag, payload).dst_row],
+        tags::ELEM => vec![cast::<ElemReq>(tag, payload).dst_row],
+        tags::ZIP => cast::<ZipReq>(tag, payload).rows.clone(),
+        tags::FILL => vec![cast::<FillReq>(tag, payload).row],
+        tags::SCALE => vec![cast::<ScaleReq>(tag, payload).row],
+        tags::PUSH_BLOCK => cast::<PushBlockReq>(tag, payload).rows.to_vec(),
+        tags::CROSS_ELEM => vec![cast::<CrossElemReq>(tag, payload).dst_row],
+        _ => Vec::new(),
+    };
+    rows.sort_unstable();
+    rows.dedup();
+    rows
+}
+
 /// The slice of a simulation context the request handlers need, so one
-/// `execute` serves both server flavors: the classic thread server
-/// ([`ps_server_main`], blocking `recv` loop on a [`SimCtx`]) and the
-/// steppable [`PsServerAgent`] (stepped inline on a [`StepCtx`], no OS
-/// thread — the flavor serving scenarios use to stand up large fleets).
+/// handler chain ([`ServerState`]) serves both server flavors: the classic
+/// thread server ([`ps_server_main`], blocking `recv` loop on a [`SimCtx`])
+/// and the steppable [`PsServerAgent`] (stepped inline on a [`StepCtx`], no
+/// OS thread — the flavor serving scenarios use to stand up large fleets).
 pub(crate) trait ServerCtx {
     fn id(&self) -> ProcId;
+    fn now(&self) -> SimTime;
     fn charge_flops(&mut self, flops: u64);
     fn charge_mem(&mut self, bytes: u64);
     fn metric_add(&mut self, name: &str, delta: u64);
+    fn metric_observe(&mut self, name: &str, dt: SimTime);
     fn trace_mark_with(&mut self, label: &'static str, payload: u64);
     fn op_label(&mut self, label: &'static str);
+    fn op_label_clear(&mut self);
     fn reply_boxed(&mut self, request: &Envelope, payload: Box<dyn Any + Send>, bytes: u64);
+    /// Non-blocking request to a peer server. Its reply comes back through
+    /// the server's own message loop ([`ServerState::on_message`]); replica
+    /// installs and refreshes use it, so both flavors run them alike.
+    fn send_request<P: Any + Send>(&mut self, dst: ProcId, tag: u32, payload: P, bytes: u64)
+        -> u64;
     /// Blocking mid-request RPC (cross-matrix segment fetches, checkpoint
     /// storage I/O). Only the thread server supports it; the steppable
     /// server panics, which is fine for serving fleets that only see
@@ -252,6 +284,9 @@ impl ServerCtx for SimCtx {
     fn id(&self) -> ProcId {
         SimCtx::id(self)
     }
+    fn now(&self) -> SimTime {
+        SimCtx::now(self)
+    }
     fn charge_flops(&mut self, flops: u64) {
         SimCtx::charge_flops(self, flops)
     }
@@ -261,14 +296,29 @@ impl ServerCtx for SimCtx {
     fn metric_add(&mut self, name: &str, delta: u64) {
         SimCtx::metric_add(self, name, delta)
     }
+    fn metric_observe(&mut self, name: &str, dt: SimTime) {
+        SimCtx::metric_observe(self, name, dt)
+    }
     fn trace_mark_with(&mut self, label: &'static str, payload: u64) {
         SimCtx::trace_mark_with(self, label, payload)
     }
     fn op_label(&mut self, label: &'static str) {
         SimCtx::op_label(self, label)
     }
+    fn op_label_clear(&mut self) {
+        SimCtx::op_label_clear(self)
+    }
     fn reply_boxed(&mut self, request: &Envelope, payload: Box<dyn Any + Send>, bytes: u64) {
         SimCtx::reply_boxed(self, request, payload, bytes)
+    }
+    fn send_request<P: Any + Send>(
+        &mut self,
+        dst: ProcId,
+        tag: u32,
+        payload: P,
+        bytes: u64,
+    ) -> u64 {
+        SimCtx::send_request(self, dst, tag, payload, bytes)
     }
     fn call<P: Any + Send>(&mut self, dst: ProcId, tag: u32, payload: P, bytes: u64) -> Envelope {
         SimCtx::call(self, dst, tag, payload, bytes)
@@ -279,6 +329,9 @@ impl ServerCtx for StepCtx<'_> {
     fn id(&self) -> ProcId {
         StepCtx::id(self)
     }
+    fn now(&self) -> SimTime {
+        StepCtx::now(self)
+    }
     fn charge_flops(&mut self, flops: u64) {
         StepCtx::charge_flops(self, flops)
     }
@@ -288,14 +341,29 @@ impl ServerCtx for StepCtx<'_> {
     fn metric_add(&mut self, name: &str, delta: u64) {
         StepCtx::metric_add(self, name, delta)
     }
+    fn metric_observe(&mut self, name: &str, dt: SimTime) {
+        StepCtx::metric_observe(self, name, dt)
+    }
     fn trace_mark_with(&mut self, label: &'static str, payload: u64) {
         StepCtx::trace_mark_with(self, label, payload)
     }
     fn op_label(&mut self, label: &'static str) {
         StepCtx::op_label(self, label)
     }
+    fn op_label_clear(&mut self) {
+        StepCtx::op_label_clear(self)
+    }
     fn reply_boxed(&mut self, request: &Envelope, payload: Box<dyn Any + Send>, bytes: u64) {
         StepCtx::reply_boxed(self, request, payload, bytes)
+    }
+    fn send_request<P: Any + Send>(
+        &mut self,
+        dst: ProcId,
+        tag: u32,
+        payload: P,
+        bytes: u64,
+    ) -> u64 {
+        StepCtx::send_request(self, dst, tag, payload, bytes)
     }
     fn call<P: Any + Send>(
         &mut self,
@@ -313,15 +381,299 @@ impl ServerCtx for StepCtx<'_> {
     }
 }
 
+/// Everything one PS server holds. Both flavors feed every delivered
+/// message to [`ServerState::on_message`], so they share one handler chain,
+/// including hot-row replication ([`crate::replica`]).
+struct ServerState {
+    shards: HashMap<MatrixId, Shard>,
+    oplog: OpLog,
+    /// Replica fan-outs in flight and the client replies waiting on them.
+    fanouts: Fanouts,
+    /// Rows promoted while handling the current request. They are
+    /// installed on the peers once its reply is out, so the read that
+    /// promoted a row is not delayed behind the install.
+    to_install: Vec<(MatrixId, u32)>,
+}
+
+/// Wire bytes of a replica install/refresh: a request header plus the
+/// row's values at full width.
+fn replica_bytes(segs: &[Vec<f64>]) -> u64 {
+    48 + 8 * segs.iter().map(|s| s.len() as u64).sum::<u64>()
+}
+
+impl ServerState {
+    fn new() -> ServerState {
+        ServerState {
+            shards: HashMap::new(),
+            oplog: OpLog::new(),
+            fanouts: Fanouts::default(),
+            to_install: Vec::new(),
+        }
+    }
+
+    /// Serve one delivered message: a peer's replica ack, or a request.
+    ///
+    /// Each request records its queue time (arrival → dequeue: how long it
+    /// sat behind earlier work) and service time (dequeue → reply sent)
+    /// into per-variant histograms `ps.server.{op}.queue` / `.service`.
+    fn on_message<C: ServerCtx>(&mut self, ctx: &mut C, env: Envelope) {
+        if env.is_reply() {
+            // Servers only send non-blocking requests for replica fan-outs;
+            // blocking `call`s consume their own replies.
+            self.on_ack(ctx, env.corr);
+            return;
+        }
+        let op = tags::name(env.tag);
+        let t0 = ctx.now();
+        let queue = t0.saturating_sub(env.arrival);
+        // Tag the handler's compute charges with the op so trace analysis
+        // can break server busy time down by request kind.
+        ctx.op_label(op);
+        self.handle(ctx, env);
+        ctx.op_label_clear();
+        // Per-server load counter: the windowed deltas of these feed the
+        // watchdog's Gini skew detector across the server fleet.
+        let served = format!("ps.server.p{}.served", ctx.id().0);
+        ctx.metric_add(&served, 1);
+        ctx.metric_observe(&format!("ps.server.{op}.queue"), queue);
+        ctx.metric_observe(&format!("ps.server.{op}.service"), ctx.now() - t0);
+    }
+
+    fn handle<C: ServerCtx>(&mut self, ctx: &mut C, env: Envelope) {
+        let mut waits = Vec::new();
+        let (reply, bytes) = if env.tag == tags::ENVELOPE {
+            // The coalescing container: run each sub-request as if it had
+            // arrived bare — own op label, own dedup check — and ship all
+            // the replies back in one message.
+            let req: &EnvelopeReq = env.downcast_ref();
+            ctx.trace_mark_with("ps.server.envelope", req.op_id);
+            let subs = Arc::clone(&req.subs);
+            let mut replies: Vec<Box<dyn Any + Send>> = Vec::with_capacity(subs.len());
+            let mut bytes = 16u64;
+            for (tag, payload, _) in subs.iter() {
+                ctx.op_label(tags::name(*tag));
+                let (reply, b) = self.dispatch_one(ctx, *tag, payload.as_ref(), &mut waits);
+                replies.push(reply);
+                bytes += b;
+            }
+            ctx.op_label("envelope");
+            (Box::new(replies) as Box<dyn Any + Send>, bytes)
+        } else {
+            self.dispatch_one(ctx, env.tag, env.payload.as_ref(), &mut waits)
+        };
+        if waits.is_empty() {
+            ctx.reply_boxed(&env, reply, bytes);
+        } else {
+            // A write to a promoted row: acknowledge once every replica
+            // holds the new value. An envelope carrying a write and its
+            // retried duplicate names the same fan-out twice.
+            waits.sort_unstable();
+            waits.dedup();
+            self.fanouts.defer(env, reply, bytes, &waits);
+        }
+        for (id, row) in std::mem::take(&mut self.to_install) {
+            self.install(ctx, id, row);
+        }
+    }
+
+    /// Dedup-then-execute for one request, bare or enveloped, keeping the
+    /// replicas of promoted rows in step. Pushes onto `waits` the replica
+    /// fan-outs the request's reply must wait for.
+    fn dispatch_one<C: ServerCtx>(
+        &mut self,
+        ctx: &mut C,
+        tag: u32,
+        payload: &dyn Any,
+        waits: &mut Vec<u64>,
+    ) -> (Box<dyn Any + Send>, u64) {
+        match tag {
+            tags::PULL => {
+                let req: &PullReq = cast(tag, payload);
+                if matches!(req.cols, ColsSel::All) && !shard_of(&self.shards, req.id).is_column() {
+                    return self.row_pull(ctx, req);
+                }
+            }
+            tags::REPLICA => return self.store_replica(ctx, cast(tag, payload)),
+            _ => {}
+        }
+        let Some(key) = mutation_key(tag, payload) else {
+            return execute(ctx, &mut self.shards, tag, payload);
+        };
+        if self.oplog.check_and_record(key.0, key.1) {
+            // Duplicate of an update this server already applied (the client
+            // timed out and resent): acknowledge without re-applying — once
+            // the original's replica refresh, if any, has completed.
+            waits.extend(self.fanouts.write_in_flight(key));
+            return (Box::new(()), 8);
+        }
+        let out = execute(ctx, &mut self.shards, tag, payload);
+        waits.extend(self.refresh(ctx, key, tag, payload));
+        out
+    }
+
+    /// A whole-row read on a row plan. The owner serves it, counting it
+    /// toward promotion and flagging rows every peer holds; a peer serves
+    /// its replica, or answers a miss so the client re-sends to the owner.
+    fn row_pull<C: ServerCtx>(&mut self, ctx: &mut C, req: &PullReq) -> (Box<dyn Any + Send>, u64) {
+        let shard = shard_mut(&mut self.shards, req.id);
+        let (segs, flag) = match shard.owned_rows.binary_search(&req.row) {
+            Ok(slot) => {
+                // Per-matrix hot-row counter (NuPS-style access-skew
+                // tracking), bounded-cardinality matrices only.
+                if shard.plan.rows <= ROW_TOUCH_MAX_ROWS {
+                    ctx.metric_add(
+                        &format!("ps.server.row_touch.m{}.r{}", req.id.0, req.row),
+                        1,
+                    );
+                }
+                let mut flag = ReplicaFlag::Owned;
+                if let Some(repl) = shard.repl.as_deref_mut() {
+                    if repl.hinting(req.row) {
+                        flag = ReplicaFlag::Replicated;
+                    }
+                    if repl.on_owned_read(req.row) {
+                        self.to_install.push((req.id, req.row));
+                    }
+                }
+                (shard.data[slot].clone(), flag)
+            }
+            Err(_) => match shard.repl.as_deref().and_then(|r| r.replica(req.row)) {
+                Some(segs) => (segs.to_vec(), ReplicaFlag::Replicated),
+                None => (Vec::new(), ReplicaFlag::Miss),
+            },
+        };
+        let n: u64 = segs.iter().map(|s| s.len() as u64).sum();
+        ctx.charge_mem(n * 8);
+        (
+            Box::new(RowPullReply { segs, flag }),
+            16 + n * req.value_bytes,
+        )
+    }
+
+    /// A peer's install or refresh of one of its promoted rows. Dropped
+    /// (and still acked) when the matrix is gone here: a write never waits
+    /// on a server that cannot serve the row anyway.
+    fn store_replica<C: ServerCtx>(
+        &mut self,
+        ctx: &mut C,
+        req: &ReplicaReq,
+    ) -> (Box<dyn Any + Send>, u64) {
+        if let Some(repl) = self
+            .shards
+            .get_mut(&req.id)
+            .and_then(|s| s.repl.as_deref_mut())
+        {
+            let n: u64 = req.segs.iter().map(|s| s.len() as u64).sum();
+            ctx.charge_mem(n * 8);
+            repl.store_replica(req.row, req.version, &req.segs);
+        }
+        (Box::new(()), 8)
+    }
+
+    /// Ship the value of `rows` of `id` at `versions` to every peer under
+    /// one new fan-out.
+    fn ship<C: ServerCtx>(
+        &mut self,
+        ctx: &mut C,
+        id: MatrixId,
+        rows: &[(u32, u64)],
+        open: impl FnOnce(&mut Fanouts, usize) -> u64,
+    ) -> u64 {
+        let shard = shard_of(&self.shards, id);
+        let peers: Vec<ProcId> = shard
+            .repl
+            .as_deref()
+            .expect("replicated rows live on a replicated shard")
+            .peers()
+            .collect();
+        let fan = open(&mut self.fanouts, peers.len() * rows.len());
+        for &(row, version) in rows {
+            let segs = Arc::new(shard.data[shard.slot(row)].clone());
+            let bytes = replica_bytes(&segs);
+            for &peer in &peers {
+                let req = ReplicaReq {
+                    id,
+                    row,
+                    version,
+                    segs: Arc::clone(&segs),
+                };
+                let corr = ctx.send_request(peer, tags::REPLICA, req, bytes);
+                self.fanouts.track(corr, fan);
+            }
+        }
+        fan
+    }
+
+    /// Install newly promoted `row` of `id` on every peer; the owner hints
+    /// it once all of them acked.
+    fn install<C: ServerCtx>(&mut self, ctx: &mut C, id: MatrixId, row: u32) {
+        let Some(version) = self
+            .shards
+            .get(&id)
+            .and_then(|s| s.repl.as_deref())
+            .and_then(|r| r.version(row))
+        else {
+            return;
+        };
+        self.ship(ctx, id, &[(row, version)], |f, acks| {
+            f.open_install(id, row, acks)
+        });
+        ctx.trace_mark_with("ps.server.replica.promote", row as u64);
+        ctx.metric_add("ps.server.replica.promoted", 1);
+        let at = ctx.now();
+        ctx.metric_observe("ps.server.replica.promote_at", at);
+    }
+
+    /// After write `key` was applied: ship the new value of every promoted
+    /// row it touched to every peer. Returns the fan-out the write's ack
+    /// waits for, if any.
+    fn refresh<C: ServerCtx>(
+        &mut self,
+        ctx: &mut C,
+        key: (MatrixId, u64),
+        tag: u32,
+        payload: &dyn Any,
+    ) -> Option<u64> {
+        let repl = self.shards.get_mut(&key.0)?.repl.as_deref_mut()?;
+        if !repl.has_promoted() {
+            return None;
+        }
+        let rows: Vec<(u32, u64)> = mutated_rows(tag, payload)
+            .into_iter()
+            .filter_map(|row| repl.bump(row).map(|v| (row, v)))
+            .collect();
+        if rows.is_empty() {
+            return None;
+        }
+        Some(self.ship(ctx, key.0, &rows, |f, acks| f.open_write(key, acks)))
+    }
+
+    /// Account a peer's replica ack, and act on a completed fan-out.
+    fn on_ack<C: ServerCtx>(&mut self, ctx: &mut C, corr: u64) {
+        match self.fanouts.on_ack(corr) {
+            AckOutcome::Pending => {}
+            AckOutcome::Hint { id, row } => {
+                if let Some(repl) = self.shards.get_mut(&id).and_then(|s| s.repl.as_deref_mut()) {
+                    repl.start_hinting(row);
+                }
+            }
+            AckOutcome::Release(ready) => {
+                for (request, reply, bytes) in ready {
+                    ctx.reply_boxed(&request, reply, bytes);
+                }
+            }
+        }
+    }
+}
+
 /// Steppable PS server: the same handler chain as [`ps_server_main`], run as
 /// an event-driven agent with no OS thread. Spawn one per server with
 /// [`ps2_simnet::SimRuntime::spawn_agent_daemon`]; it serves every
-/// non-blocking op (CREATE, PULL/PUSH and friends, coalesced ENVELOPEs) and
-/// panics on the few ops that need mid-request RPCs (CROSS_*, CHECKPOINT,
-/// RESTORE).
+/// non-blocking op (CREATE, PULL/PUSH and friends, coalesced ENVELOPEs,
+/// replica installs) and panics on the few ops that need mid-request RPCs
+/// (CROSS_*, CHECKPOINT, RESTORE).
 pub struct PsServerAgent {
-    shards: HashMap<MatrixId, Shard>,
-    oplog: OpLog,
+    state: ServerState,
 }
 
 impl Default for PsServerAgent {
@@ -333,96 +685,24 @@ impl Default for PsServerAgent {
 impl PsServerAgent {
     pub fn new() -> PsServerAgent {
         PsServerAgent {
-            shards: HashMap::new(),
-            oplog: OpLog::new(),
+            state: ServerState::new(),
         }
     }
 }
 
 impl Proc for PsServerAgent {
     fn on_message(&mut self, ctx: &mut StepCtx<'_>, env: Envelope) {
-        if env.is_reply() {
-            // Stray reply from a peer this server never calls; ignore.
-            return;
-        }
-        let op = tags::name(env.tag);
-        let t0 = ctx.now();
-        let queue = t0.saturating_sub(env.arrival);
-        ctx.op_label(op);
-        handle(ctx, &mut self.shards, &mut self.oplog, env);
-        ctx.op_label_clear();
-        ctx.metric_add(&format!("ps.server.p{}.served", StepCtx::id(ctx).0), 1);
-        ctx.metric_observe(&format!("ps.server.{op}.queue"), queue);
-        ctx.metric_observe(&format!("ps.server.{op}.service"), ctx.now() - t0);
+        self.state.on_message(ctx, env);
     }
 }
 
+/// The PS-server loop: stores shards, executes row- and column-access ops.
 pub fn ps_server_main(ctx: &mut SimCtx) {
-    let mut shards: HashMap<MatrixId, Shard> = HashMap::new();
-    let mut oplog = OpLog::new();
+    let mut state = ServerState::new();
     loop {
         let env = ctx.recv();
-        let op = tags::name(env.tag);
-        let t0 = ctx.now();
-        let queue = t0.saturating_sub(env.arrival);
-        // Tag the handler's compute charges with the op so trace analysis
-        // can break server busy time down by request kind.
-        ctx.op_label(op);
-        handle(ctx, &mut shards, &mut oplog, env);
-        ctx.op_label_clear();
-        // Per-server load counter: the windowed deltas of these feed the
-        // watchdog's Gini skew detector across the server fleet.
-        ctx.metric_add(&format!("ps.server.p{}.served", ctx.id().0), 1);
-        ctx.metric_observe(&format!("ps.server.{op}.queue"), queue);
-        ctx.metric_observe(&format!("ps.server.{op}.service"), ctx.now() - t0);
+        state.on_message(ctx, env);
     }
-}
-
-fn handle<C: ServerCtx>(
-    ctx: &mut C,
-    shards: &mut HashMap<MatrixId, Shard>,
-    oplog: &mut OpLog,
-    env: Envelope,
-) {
-    if env.tag == tags::ENVELOPE {
-        // The coalescing container: run each sub-request as if it had
-        // arrived bare — own op label, own dedup check — and ship all the
-        // replies back in one message.
-        let req: &EnvelopeReq = env.downcast_ref();
-        ctx.trace_mark_with("ps.server.envelope", req.op_id);
-        let subs = Arc::clone(&req.subs);
-        let mut replies: Vec<Box<dyn Any + Send>> = Vec::with_capacity(subs.len());
-        let mut bytes = 16u64;
-        for (tag, payload, _) in subs.iter() {
-            ctx.op_label(tags::name(*tag));
-            let (reply, b) = dispatch_one(ctx, shards, oplog, *tag, payload.as_ref());
-            replies.push(reply);
-            bytes += b;
-        }
-        ctx.op_label("envelope");
-        ctx.reply_boxed(&env, Box::new(replies), bytes);
-        return;
-    }
-    let (reply, bytes) = dispatch_one(ctx, shards, oplog, env.tag, env.payload.as_ref());
-    ctx.reply_boxed(&env, reply, bytes);
-}
-
-/// Dedup-then-execute for one request, bare or enveloped.
-fn dispatch_one<C: ServerCtx>(
-    ctx: &mut C,
-    shards: &mut HashMap<MatrixId, Shard>,
-    oplog: &mut OpLog,
-    tag: u32,
-    payload: &dyn Any,
-) -> (Box<dyn Any + Send>, u64) {
-    if let Some((id, op_id)) = mutation_key(tag, payload) {
-        if oplog.check_and_record(id, op_id) {
-            // Duplicate of an update this server already applied (the client
-            // timed out and resent): acknowledge without re-applying.
-            return (Box::new(()), 8);
-        }
-    }
-    execute(ctx, shards, tag, payload)
 }
 
 fn cast<T: 'static>(tag: u32, payload: &dyn Any) -> &T {
@@ -452,7 +732,7 @@ fn execute<C: ServerCtx>(
             // server, and the fabric may then re-deliver the original
             // request — rebuilding here would wipe the restored values.
             if let std::collections::hash_map::Entry::Vacant(e) = shards.entry(req.id) {
-                let shard = Shard::build(req.slot, Arc::clone(&req.plan), &req.init);
+                let shard = Shard::build(req.slot, Arc::clone(&req.plan), &req.init, &req.fleet);
                 // Materializing the shard touches every owned element.
                 ctx.charge_mem(shard.owned_cols() * shard.data.len() as u64 * 8);
                 e.insert(shard);
@@ -979,6 +1259,7 @@ mod tests {
                 plan: Arc::clone(&plan),
                 init: InitKind::Zero,
                 slot: 0,
+                fleet: Arc::new(vec![server]),
             };
             let _: () = ctx.call(server, tags::CREATE, create, 96).downcast();
             let push = PushReq {
@@ -1018,6 +1299,7 @@ mod tests {
                 plan: Arc::clone(&plan),
                 init: InitKind::Zero,
                 slot: 0,
+                fleet: Arc::new(vec![server]),
             };
             let _: () = ctx.call(server, tags::CREATE, create, 96).downcast();
             let push = PushReq {
@@ -1052,5 +1334,148 @@ mod tests {
         });
         sim.run().unwrap();
         assert_eq!(out.take(), 1.0);
+    }
+
+    /// Drive one server flavor: promote row 0 of a row table by reading it
+    /// at its owner until a reply carries the hint, push a delta, and —
+    /// once the push is acked — read row 0 from every server. Returns the
+    /// values read before and after the push and after a deduplicated
+    /// second push, per server, and the first push's round trip.
+    fn push_to_promoted_row(agents: bool) -> (Vec<f64>, Vec<f64>, Vec<f64>, SimTime) {
+        let mut sim = SimBuilder::new().seed(9).build();
+        let servers: Vec<ProcId> = (0..4)
+            .map(|i| {
+                let name = format!("ps-server-{i}");
+                if agents {
+                    sim.spawn_agent_daemon(&name, PsServerAgent::new())
+                } else {
+                    sim.spawn_daemon(&name, ps_server_main)
+                }
+            })
+            .collect();
+        let out = sim.spawn_collect("driver", move |ctx| {
+            let id = MatrixId(3);
+            let plan = Arc::new(PartitionPlan::new(4, 64, 4, Partitioning::Row));
+            let fleet = Arc::new(servers.clone());
+            for (slot, &server) in servers.iter().enumerate() {
+                let create = CreateReq {
+                    id,
+                    plan: Arc::clone(&plan),
+                    init: InitKind::Const(1.0),
+                    slot,
+                    fleet: Arc::clone(&fleet),
+                };
+                let _: () = ctx.call(server, tags::CREATE, create, 96).downcast();
+            }
+            let pull = |ctx: &mut SimCtx, server: ProcId| -> RowPullReply {
+                let req = PullReq {
+                    id,
+                    row: 0,
+                    cols: ColsSel::All,
+                    value_bytes: 8,
+                };
+                ctx.call(server, tags::PULL, req, 48).downcast()
+            };
+            let mut reads = 0;
+            while pull(ctx, servers[0]).flag != ReplicaFlag::Replicated {
+                reads += 1;
+                assert!(reads < 10_000, "row 0 never promoted");
+            }
+            let before: Vec<f64> = servers.iter().map(|&s| pull(ctx, s).segs[0][0]).collect();
+            let push = PushReq {
+                id,
+                row: 0,
+                data: PushData::DenseSeg {
+                    lo: 0,
+                    values: Arc::new(vec![0.5; 4]),
+                },
+                op_id: 1,
+            };
+            let t0 = ctx.now();
+            let _: () = ctx.call(servers[0], tags::PUSH, push, 80).downcast();
+            let push_rtt = ctx.now() - t0;
+            let after: Vec<f64> = servers.iter().map(|&s| pull(ctx, s).segs[0][0]).collect();
+            // A write and its retried duplicate in one envelope: applied
+            // once, acked once the single refresh completed.
+            let push = PushReq {
+                id,
+                row: 0,
+                data: PushData::DenseSeg {
+                    lo: 0,
+                    values: Arc::new(vec![0.5; 4]),
+                },
+                op_id: 2,
+            };
+            let sub = Arc::new(push) as Arc<dyn Any + Send + Sync>;
+            let env = EnvelopeReq {
+                op_id: 7,
+                epoch: 0,
+                subs: Arc::new(vec![
+                    (tags::PUSH, Arc::clone(&sub), 48),
+                    (tags::PUSH, sub, 48),
+                ]),
+            };
+            let _ = ctx.call(servers[0], tags::ENVELOPE, env, 112);
+            let deduped: Vec<f64> = servers.iter().map(|&s| pull(ctx, s).segs[0][0]).collect();
+            (before, after, deduped, push_rtt)
+        });
+        sim.run().unwrap();
+        out.take()
+    }
+
+    #[test]
+    fn reads_after_a_promoted_push_is_acked_see_it_everywhere() {
+        let latency = ps2_simnet::NetConfig::default().latency;
+        for agents in [true, false] {
+            let (before, after, deduped, push_rtt) = push_to_promoted_row(agents);
+            assert_eq!(before, vec![1.0; 4], "agents={agents}: replicas installed");
+            assert_eq!(after, vec![1.5; 4], "agents={agents}: replicas refreshed");
+            assert_eq!(
+                deduped,
+                vec![2.0; 4],
+                "agents={agents}: duplicate applied once"
+            );
+            // The ack waited for a peer round trip: two network crossings
+            // beyond the client's own two.
+            assert!(
+                push_rtt.as_nanos() > 4 * latency.as_nanos(),
+                "agents={agents}: push acked in {push_rtt:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_peer_without_the_replica_answers_a_miss() {
+        let mut sim = SimBuilder::new().seed(4).build();
+        let servers: Vec<ProcId> = (0..2)
+            .map(|i| sim.spawn_agent_daemon(&format!("ps-server-{i}"), PsServerAgent::new()))
+            .collect();
+        let out = sim.spawn_collect("driver", move |ctx| {
+            let id = MatrixId(1);
+            let plan = Arc::new(PartitionPlan::new(4, 8, 2, Partitioning::Row));
+            let fleet = Arc::new(servers.clone());
+            for (slot, &server) in servers.iter().enumerate() {
+                let create = CreateReq {
+                    id,
+                    plan: Arc::clone(&plan),
+                    init: InitKind::Zero,
+                    slot,
+                    fleet: Arc::clone(&fleet),
+                };
+                let _: () = ctx.call(server, tags::CREATE, create, 96).downcast();
+            }
+            // Row 0 lives on slot 0 and was never promoted.
+            let req = PullReq {
+                id,
+                row: 0,
+                cols: ColsSel::All,
+                value_bytes: 8,
+            };
+            let owner: RowPullReply = ctx.call(servers[0], tags::PULL, req.clone(), 48).downcast();
+            let peer: RowPullReply = ctx.call(servers[1], tags::PULL, req, 48).downcast();
+            (owner.flag, owner.segs.len(), peer.flag, peer.segs.len())
+        });
+        sim.run().unwrap();
+        assert_eq!(out.take(), (ReplicaFlag::Owned, 1, ReplicaFlag::Miss, 0));
     }
 }

@@ -297,7 +297,9 @@ impl State {
 
     /// The send core shared by thread procs (`Shared::send_env`) and agent
     /// steps (`StepCtx`): NIC accounting, trace/reqtrace hooks, mailbox
-    /// insert. Does not reschedule — the caller owns the handoff.
+    /// insert. Does not reschedule — the caller owns the handoff — and does
+    /// not roll the telemetry window: thread sends roll before calling in,
+    /// agent sends belong to the window their step started in.
     #[allow(clippy::too_many_arguments)]
     fn deliver(
         &mut self,
@@ -311,8 +313,6 @@ impl State {
         bytes: u64,
         req: Option<ReqToken>,
     ) {
-        let pre = self.procs[me].clock;
-        self.ts_roll(pre);
         let net = &cfg.net;
         // Every send consumes a run-unique sequence number — dropped or not —
         // so traces carry explicit Send/Recv causal edges keyed by `seq`.
@@ -549,6 +549,8 @@ impl Shared {
         let _prof = hostprof::scope(ProfScope::SchedSend);
         let mut st = self.state.lock();
         self.interrupt_check(&st, me);
+        let pre = st.procs[me].clock;
+        st.ts_roll(pre);
         st.deliver(&self.cfg, me, dst, tag, corr, is_reply, payload, bytes, req);
         self.reschedule(&mut st, me);
     }
@@ -802,10 +804,17 @@ impl Shared {
         };
         // Event bookkeeping mirrors the thread paths exactly: roll the
         // telemetry window at the effective time, advance the clock, record
-        // stats/trace/reqtrace.
+        // stats/trace/reqtrace. This is the step's only roll: everything the
+        // hook records — even after `advance` or a send's overhead carried
+        // its clock past a boundary — lands in the window holding the step's
+        // start, so a busy agent cannot close a window before another agent
+        // has run the events it owes that window.
         let mut env = None;
         match &ev {
-            Ev::Start => {}
+            Ev::Start => {
+                let eff = st.procs[idx].clock;
+                st.ts_roll(eff);
+            }
             Ev::Mail => {
                 let key = *st.procs[idx].mailbox.keys().next().expect("mail vanished");
                 let eff = st.procs[idx].clock.max(SimTime(key.0));
@@ -1086,7 +1095,6 @@ impl StepCtx<'_> {
     /// step stays atomic — so hooks should charge bounded work per step.
     pub fn advance(&mut self, dt: SimTime) {
         let pre = self.st.procs[self.me].clock;
-        self.st.ts_roll(pre);
         if self.st.tracing && dt > SimTime::ZERO {
             let label = self.st.op_labels[self.me];
             self.st.trace.push(crate::report::TraceEvent::Compute {
@@ -1210,28 +1218,26 @@ impl StepCtx<'_> {
     }
 
     // ---- flight recorder (same non-yielding discipline as SimCtx) --------
+    //
+    // Unlike SimCtx these do not roll the telemetry window at the agent's
+    // current clock: `step_agent` rolled it once at the step's start, and
+    // every mutation of the step is attributed to that window.
 
     /// Increment a named counter in the run's metrics registry.
     pub fn metric_add(&mut self, name: &str, delta: u64) {
         let _prof = hostprof::scope(ProfScope::MetricsRecord);
-        let t = self.st.procs[self.me].clock;
-        self.st.ts_roll(t);
         self.st.metrics.add(name, delta);
     }
 
     /// Set a named gauge to an absolute value.
     pub fn metric_gauge_set(&mut self, name: &str, value: i64) {
         let _prof = hostprof::scope(ProfScope::MetricsRecord);
-        let t = self.st.procs[self.me].clock;
-        self.st.ts_roll(t);
         self.st.metrics.gauge_set(name, value);
     }
 
     /// Record a virtual-time duration into a named histogram.
     pub fn metric_observe(&mut self, name: &str, dt: SimTime) {
         let _prof = hostprof::scope(ProfScope::MetricsRecord);
-        let t = self.st.procs[self.me].clock;
-        self.st.ts_roll(t);
         self.st.metrics.observe(name, dt);
     }
 

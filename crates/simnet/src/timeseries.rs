@@ -10,13 +10,35 @@
 //! ## Determinism constraints (same invariant as the flight recorder)
 //!
 //! Scraping is **not** a scheduler yield point and spawns no process: it is
-//! driven lazily from inside the runtime's existing lock, immediately before
-//! each registry/clock mutation. Between two mutations the registry is
-//! constant, so "the registry state at window boundary `B`" is exactly "the
-//! registry state at the last mutation before `B`" — no sampling process is
-//! needed, and a scraped run is **byte-identical** (same `SimReport`
-//! statistics, same trace, same metrics) to an unscraped same-seed run.
+//! driven lazily from inside the runtime's existing lock, and no sampling
+//! process is needed. A scraped run is **byte-identical** (same `SimReport`
+//! statistics, same trace, same metrics) to an unscraped same-seed run;
 //! `crates/simnet/tests/sim_timeseries.rs` asserts this.
+//!
+//! ## Window attribution
+//!
+//! The window ending at boundary `B` holds every registry mutation made by
+//! an *event that started before `B`*:
+//!
+//! * **Agent steps** roll once, at the step's effective start time (the
+//!   mail's arrival or the timer's fire time, clamped to the agent's
+//!   clock). Everything the hook then records — including metrics recorded
+//!   after `advance` or a send's per-message overhead carried the agent's
+//!   clock past `B` — belongs to the step's start window. The scheduler
+//!   steps events in start-time order, so no event that starts before `B`
+//!   can run after `B` was rolled, and a window's counts are exactly the
+//!   counts of the events scheduled inside it (the serve benchmark's
+//!   per-window arrival check depends on this).
+//! * **Thread procs** keep per-mutation attribution: they roll at their own
+//!   clock before each clock advance, send and metric. Every clock move of
+//!   a thread proc is a yield point, so this never closes a window early,
+//!   but it attributes differently. *Known limit:* a thread proc's metric
+//!   recorded after its reply's send overhead carried it past `B` lands in
+//!   the window after `B`, where an agent doing the same work would count
+//!   it in the window its step started in. A run mixing the two models can
+//!   thus put the two halves of one request-handling event in different
+//!   windows. Serving runs keep only the coordinator on threads, so their
+//!   windows follow the agent rule.
 //!
 //! ## What a window records
 //!

@@ -2,7 +2,7 @@
 //! simulation. A scraped run's `SimReport` — timing, trace, metrics, per-proc
 //! stats — is byte-identical to an unscraped same-seed run's.
 
-use ps2_simnet::{SimBuilder, SimReport, SimTime};
+use ps2_simnet::{Envelope, Proc, ProcId, SimBuilder, SimReport, SimTime, StepCtx};
 
 /// A small but busy workload: a server daemon answering calls, four clients
 /// computing and calling in a loop, metrics of all three kinds recorded.
@@ -153,4 +153,69 @@ fn marks_on_dead_runs_do_not_panic_the_scraper() {
     let report = sim.run().unwrap();
     assert_eq!(report.dropped_msgs, 1);
     assert!(report.timeseries.unwrap().windows.len() >= 5);
+}
+
+/// Fires one timer at `at`; on it, optionally sends a one-way message to
+/// `peer` (whose per-message overhead moves the agent's clock), then bumps
+/// `counter` and finishes.
+struct TimerAgent {
+    at: SimTime,
+    peer: Option<ProcId>,
+    counter: &'static str,
+}
+
+impl Proc for TimerAgent {
+    fn on_start(&mut self, ctx: &mut StepCtx<'_>) {
+        ctx.set_timer(self.at);
+    }
+    fn on_message(&mut self, _ctx: &mut StepCtx<'_>, _env: Envelope) {}
+    fn on_timer(&mut self, ctx: &mut StepCtx<'_>, _timer: u64) {
+        if let Some(peer) = self.peer {
+            ctx.send(peer, 1, (), 64);
+        }
+        ctx.metric_add(self.counter, 1);
+        ctx.finish();
+    }
+}
+
+#[test]
+fn agent_step_telemetry_lands_in_the_step_start_window() {
+    // Window boundary at 10 us. Agent `a` steps at 9 us and sends: the
+    // 2 us send overhead carries its clock to 11 us before it records its
+    // counter. Agent `b` steps at 9.5 us. Both events start before the
+    // boundary, so both counters belong to window 0 — `a`'s post-send
+    // metric must not close window 0 before `b` has run.
+    let mut sim = SimBuilder::new()
+        .seed(1)
+        .timeseries(SimTime::from_micros(10))
+        .build();
+    let b = sim.spawn_agent(
+        "b",
+        TimerAgent {
+            at: SimTime(9_500),
+            peer: None,
+            counter: "b.events",
+        },
+    );
+    sim.spawn_agent(
+        "a",
+        TimerAgent {
+            at: SimTime::from_micros(9),
+            peer: Some(b),
+            counter: "a.events",
+        },
+    );
+    let report = sim.run().unwrap();
+    let ts = report.timeseries.as_ref().unwrap();
+    let w0 = ts.windows.iter().find(|w| w.index == 0).expect("window 0");
+    assert_eq!(w0.end_ns, 10_000);
+    assert_eq!(w0.counter("a.events"), 1, "a's step started at 9 us");
+    assert_eq!(w0.counter("b.events"), 1, "b's step started at 9.5 us");
+    let later: u64 = ts
+        .windows
+        .iter()
+        .filter(|w| w.index > 0)
+        .map(|w| w.counter("a.events") + w.counter("b.events"))
+        .sum();
+    assert_eq!(later, 0);
 }

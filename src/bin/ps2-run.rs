@@ -346,6 +346,16 @@ fn main() {
                 us(summary.p99_ns),
                 us(summary.p999_ns),
             );
+            println!(
+                "hot-row replication: {} rows promoted, {} pulls read a replica, {} replica \
+                 misses; first promotion {} after the first pull",
+                summary.promoted,
+                summary.replica_reads,
+                summary.replica_misses,
+                summary
+                    .first_promotion_ns
+                    .map_or_else(|| "never".to_string(), us),
+            );
             (
                 TrainingTrace::new(format!("{} serving", sspec.name)),
                 report,
