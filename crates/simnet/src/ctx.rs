@@ -7,8 +7,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::config::SimConfig;
-use crate::hostprof::{self, Scope as ProfScope};
-use crate::message::{Envelope, WireSize};
+use crate::message::Envelope;
 use crate::reqtrace::ReqToken;
 use crate::runtime::{MatchSpec, ProcId, Shared};
 use crate::time::SimTime;
@@ -110,15 +109,6 @@ impl SimCtx {
         );
     }
 
-    /// Send a one-way message whose wire size is computed from the payload.
-    pub fn send_t<P: Any + Send + WireSize>(&mut self, dst: ProcId, tag: u32, payload: P) {
-        let bytes = {
-            let _prof = hostprof::scope(ProfScope::CodecEncode);
-            payload.wire_size()
-        };
-        self.send(dst, tag, payload, bytes);
-    }
-
     /// Receive the next message (any kind), blocking in virtual time.
     pub fn recv(&mut self) -> Envelope {
         self.shared
@@ -164,19 +154,6 @@ impl SimCtx {
         self.shared
             .block_recv(self.me.0, MatchSpec::Replies(vec![corr]), None)
             .expect("reply wait returned None")
-    }
-
-    /// Typed synchronous call with automatic wire sizing of the request.
-    pub fn call_t<Req, Resp>(&mut self, dst: ProcId, tag: u32, req: Req) -> Resp
-    where
-        Req: Any + Send + WireSize,
-        Resp: 'static,
-    {
-        let bytes = {
-            let _prof = hostprof::scope(ProfScope::CodecEncode);
-            req.wire_size()
-        };
-        self.call(dst, tag, req, bytes).downcast::<Resp>()
     }
 
     /// Scatter-gather: issue all requests (transfers overlap in the network
@@ -361,15 +338,6 @@ impl SimCtx {
             bytes,
             request.req,
         );
-    }
-
-    /// Typed reply with automatic wire sizing.
-    pub fn reply_t<P: Any + Send + WireSize>(&mut self, request: &Envelope, payload: P) {
-        let bytes = {
-            let _prof = hostprof::scope(ProfScope::CodecEncode);
-            payload.wire_size()
-        };
-        self.reply(request, payload, bytes);
     }
 
     // ---- flight recorder ---------------------------------------------------

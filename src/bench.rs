@@ -1,17 +1,34 @@
-//! `ps2-bench` — a deterministic sweep harness with a regression gate.
+//! `ps2-bench` — deterministic sweep harnesses with a regression gate.
 //!
-//! A *sweep* runs {preset × algorithm × seed} simulations, splits each run
-//! into a setup and a training phase, aggregates min/median/max across
-//! seeds, and serializes the result as JSON (hand-rolled, integers only, so
-//! the file is byte-identical across runs and platforms — the same property
-//! the flight-recorder report relies on). The *gate* compares a fresh sweep
-//! (or a second file) against a committed baseline such as `BENCH_pr5.json`
-//! and reports every median that regressed beyond a relative tolerance; CI
-//! turns a non-empty report into a failing job.
+//! A *sweep* runs every case of a grid under every seed and writes one
+//! [`Report`]: per case, its attributes, one row of integer measurements per
+//! seeded run, and a min/median/max summary across seeds. The JSON is
+//! hand-rolled and integers-only, so it is byte-identical across runs and
+//! hosts — the same property the flight-recorder report relies on. The
+//! *gate* ([`compare`]) holds a fresh report (or a second file) to a
+//! committed baseline: a baseline case missing from the candidate, a
+//! summary median that grew beyond a relative tolerance, or an exact field
+//! that changed at all is a violation, and CI turns any violation into a
+//! failing job.
+//!
+//! The three sweep kinds share that one engine. What differs between them
+//! is data, held by a [`Schema`]: the case's string and integer attributes,
+//! the per-run fields, which of them are summarized and gated, and which
+//! must not change at all. Each kind is a small [`SweepCase`] adapter that
+//! turns one simulation into named fields:
+//!
+//! * [`BenchCase`] ([`TRAIN`]) — {preset × algorithm} training makespans
+//!   split into setup and training phases.
+//! * [`ModeCase`] ([`MODES`]) — consistency-mode convergence: every run
+//!   carries its loss curve, and the final loss is gated beside the time.
+//! * serving presets ([`SERVE`]) — open-loop pull tails; the pull count
+//!   is gated on exact equality.
 //!
 //! All times are virtual nanoseconds from the simulator, so the gate is
 //! immune to host speed: a regression means the *modeled* cost changed, not
-//! that the runner was busy.
+//! that the runner was busy. The one exception is a run's host wall time,
+//! written alone on a strippable `"wall_seconds"` line and gated only
+//! against a >4× blowup.
 //!
 //! Committed baselines and the CI job that consumes each (the README's
 //! "Committed baselines" table is the user-facing copy of this list):
@@ -28,8 +45,10 @@
 //!   serving sweep plus byte-identity (`wall_seconds` stripped).
 
 use std::fmt::Write as _;
+use std::time::Instant;
 
 use crate::data::presets;
+use crate::data::SparseDatasetGen;
 use crate::ml::lbfgs::{train_lbfgs, LbfgsConfig};
 use crate::ml::lr::{train_lr, LrBackend, LrConfig};
 use crate::ml::modes::{run_mode, ModeAlgo, ModeConfig};
@@ -42,7 +61,533 @@ use crate::simnet::{slo_json, SloObjective, Watchdog};
 use crate::tracefile::{parse_json, render_json_string, JsonValue};
 use crate::{run_ps2_with, ClusterSpec, SimBuilder, SimTime};
 
-/// One cell of the sweep grid: a dataset preset trained by one algorithm.
+// ---- the report engine -------------------------------------------------------
+
+/// The layout of one sweep kind's report. The writer, reader, table and
+/// gate read everything kind-specific from here.
+#[derive(Debug, PartialEq, Eq)]
+pub struct Schema {
+    /// The document's `"schema"` tag.
+    pub id: &'static str,
+    /// String attributes of a case. The first is the case key: the gate
+    /// joins baseline and candidate on it.
+    pub strings: &'static [&'static str],
+    /// Integer attributes of a case.
+    pub ints: &'static [&'static str],
+    /// Integer measurements of one run, in row order after `"seed"`.
+    pub fields: &'static [&'static str],
+    /// The fields aggregated across seeds and gated on their median.
+    pub summary: &'static [&'static str],
+    /// Summary fields whose aggregate must not change at all.
+    pub exact: &'static [&'static str],
+}
+
+impl Schema {
+    /// Index of run field `name` in [`Run::values`].
+    pub fn field(&self, name: &str) -> usize {
+        self.fields
+            .iter()
+            .position(|f| *f == name)
+            .unwrap_or_else(|| panic!("{}: no run field {name:?}", self.id))
+    }
+}
+
+/// The training sweep — what `BENCH_pr5.json` holds.
+pub const TRAIN: Schema = Schema {
+    id: "ps2-bench-v1",
+    strings: &["name", "preset", "algorithm"],
+    ints: &["workers", "servers", "iters"],
+    fields: &[
+        "virtual_ns",
+        "setup_ns",
+        "train_ns",
+        "iterations",
+        "total_msgs",
+        "total_bytes",
+    ],
+    summary: &[
+        "virtual_ns",
+        "setup_ns",
+        "train_ns",
+        "total_msgs",
+        "total_bytes",
+    ],
+    exact: &[],
+};
+
+/// The consistency-mode sweep — what `BENCH_pr6.json` holds. The final
+/// loss is gated beside the makespan: a candidate that got faster by
+/// converging worse is exactly what a staleness bug looks like.
+pub const MODES: Schema = Schema {
+    id: "ps2-bench-modes-v1",
+    strings: &["name", "preset", "algorithm", "mode"],
+    ints: &["workers", "servers", "iters"],
+    fields: &[
+        "virtual_ns",
+        "final_loss_micro",
+        "iterations",
+        "total_msgs",
+        "total_bytes",
+    ],
+    summary: &[
+        "virtual_ns",
+        "final_loss_micro",
+        "total_msgs",
+        "total_bytes",
+    ],
+    exact: &[],
+};
+
+/// The serving sweep — what `BENCH_pr9.json` holds. The open-loop schedule
+/// fixes the pull count, so a different count means the generator itself
+/// changed: it must match exactly.
+pub const SERVE: Schema = Schema {
+    id: "ps2-bench-serve-v1",
+    strings: &["preset"],
+    ints: &["endpoints"],
+    fields: &[
+        "virtual_ns",
+        "pulls",
+        "p99_ns",
+        "p999_ns",
+        "total_msgs",
+        "total_bytes",
+    ],
+    summary: &[
+        "virtual_ns",
+        "pulls",
+        "p99_ns",
+        "p999_ns",
+        "total_msgs",
+        "total_bytes",
+    ],
+    exact: &["pulls"],
+};
+
+/// Every schema [`Report::from_json`] reads.
+const SCHEMAS: [&Schema; 3] = [&TRAIN, &MODES, &SERVE];
+
+/// min/median/max of one measurement across seeds.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Stat {
+    pub min: u64,
+    pub median: u64,
+    pub max: u64,
+}
+
+impl Stat {
+    /// Aggregate a non-empty sample; an even count takes the mean of the
+    /// two central values (integer division — stays deterministic).
+    pub fn of(mut vals: Vec<u64>) -> Stat {
+        assert!(!vals.is_empty(), "Stat::of needs at least one sample");
+        vals.sort_unstable();
+        let n = vals.len();
+        let median = if n % 2 == 1 {
+            vals[n / 2]
+        } else {
+            (vals[n / 2 - 1] + vals[n / 2]) / 2
+        };
+        Stat {
+            min: vals[0],
+            median,
+            max: vals[n - 1],
+        }
+    }
+}
+
+/// Measurements from a single seeded run of a case.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Run {
+    pub seed: u64,
+    /// One value per [`Schema::fields`] entry, in order.
+    pub values: Vec<i64>,
+    /// Convergence curve, `(virtual ns, mean batch loss in micros)` per
+    /// iteration; empty for sweeps that record none.
+    pub curve: Vec<(u64, i64)>,
+    /// Host wall-clock nanoseconds, `None` for sweeps that do not measure
+    /// it. Unlike every other field this is *not* deterministic.
+    pub wall_ns: Option<u64>,
+}
+
+impl Run {
+    /// A run measured as `(field, value)` pairs, which must name `schema`'s
+    /// run fields in order.
+    pub fn named(schema: &Schema, seed: u64, fields: &[(&str, i64)]) -> Run {
+        assert!(
+            fields.iter().map(|f| f.0).eq(schema.fields.iter().copied()),
+            "{}: run fields {fields:?} do not match the schema",
+            schema.id
+        );
+        Run {
+            seed,
+            values: fields.iter().map(|f| f.1).collect(),
+            curve: Vec::new(),
+            wall_ns: None,
+        }
+    }
+}
+
+/// One case of a report: its attributes and its per-seed runs. Aggregates
+/// are always computed from the runs, never stored, so a hand-edited
+/// summary in a baseline file cannot loosen the gate.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Case {
+    /// One value per [`Schema::strings`] entry.
+    pub strings: Vec<String>,
+    /// One value per [`Schema::ints`] entry.
+    pub ints: Vec<u64>,
+    pub runs: Vec<Run>,
+}
+
+impl Case {
+    /// The join key: the first string attribute.
+    pub fn key(&self) -> &str {
+        &self.strings[0]
+    }
+
+    /// Aggregate run field `i`, clamping values at 0 (losses are never
+    /// negative, and `Stat` is unsigned).
+    pub fn stat(&self, i: usize) -> Stat {
+        Stat::of(
+            self.runs
+                .iter()
+                .map(|r| r.values[i].max(0) as u64)
+                .collect(),
+        )
+    }
+
+    /// Aggregate host wall time, when every run measured it.
+    pub fn wall(&self) -> Option<Stat> {
+        let walls: Option<Vec<u64>> = self.runs.iter().map(|r| r.wall_ns).collect();
+        walls.map(Stat::of)
+    }
+}
+
+/// A full sweep result of one schema.
+#[derive(Clone, Debug)]
+pub struct Report {
+    pub schema: &'static Schema,
+    pub cases: Vec<Case>,
+}
+
+impl Report {
+    /// An empty report of one schema.
+    pub fn new(schema: &'static Schema) -> Report {
+        Report {
+            schema,
+            cases: Vec::new(),
+        }
+    }
+
+    /// Serialize deterministically: cases in sweep order, integers only.
+    /// Two lines are optional. A case's `"wall_seconds"` line (seconds at µs
+    /// precision) is written only when its runs measured wall time; it sits
+    /// alone on one full line, so `grep -v '"wall_seconds"'` recovers the
+    /// deterministic document byte for byte. A run's `"curve"` is written
+    /// only when it has one.
+    pub fn to_json(&self) -> String {
+        let s = self.schema;
+        // The separator before the `j`th item of a list.
+        let sep = |j: usize, comma: &'static str| if j > 0 { comma } else { "" };
+        let mut out = format!("{{\n  \"schema\": \"{}\",\n  \"cases\": [", s.id);
+        for (i, c) in self.cases.iter().enumerate() {
+            let _ = write!(out, "{}\n    {{\n      ", sep(i, ","));
+            for (j, (name, v)) in s.strings.iter().zip(&c.strings).enumerate() {
+                let _ = write!(out, "{}\"{name}\": ", sep(j, ", "));
+                render_json_string(v, &mut out);
+            }
+            out.push_str(",\n      ");
+            for (j, (name, v)) in s.ints.iter().zip(&c.ints).enumerate() {
+                let _ = write!(out, "{}\"{name}\": {v}", sep(j, ", "));
+            }
+            out.push(',');
+            if c.runs.iter().any(|r| r.wall_ns.is_some()) {
+                out.push_str("\n      \"wall_seconds\": [");
+                for (j, r) in c.runs.iter().enumerate() {
+                    let secs = r.wall_ns.unwrap_or(0) as f64 / 1e9;
+                    let _ = write!(out, "{}{secs:.6}", sep(j, ", "));
+                }
+                out.push_str("],");
+            }
+            out.push_str("\n      \"runs\": [");
+            for (j, r) in c.runs.iter().enumerate() {
+                let _ = write!(out, "{}\n        {{\"seed\": {}", sep(j, ","), r.seed);
+                for (name, v) in s.fields.iter().zip(&r.values) {
+                    let _ = write!(out, ", \"{name}\": {v}");
+                }
+                if !r.curve.is_empty() {
+                    out.push_str(",\n         \"curve\": [");
+                    for (k, (ns, loss)) in r.curve.iter().enumerate() {
+                        let _ = write!(out, "{}[{ns}, {loss}]", sep(k, ", "));
+                    }
+                    out.push(']');
+                }
+                out.push('}');
+            }
+            out.push_str("\n      ],\n      \"summary\": {");
+            for (j, name) in s.summary.iter().enumerate() {
+                let st = c.stat(s.field(name));
+                let _ = write!(
+                    out,
+                    "{}\n        \"{name}\": {{\"min\": {}, \"median\": {}, \"max\": {}}}",
+                    sep(j, ","),
+                    st.min,
+                    st.median,
+                    st.max
+                );
+            }
+            out.push_str("\n      }\n    }");
+        }
+        out.push_str("\n  ]\n}\n");
+        out
+    }
+
+    /// Parse a report written by [`Report::to_json`] under [`TRAIN`],
+    /// [`MODES`] or [`SERVE`] (via the same dependency-free parser
+    /// `ps2-trace` uses).
+    /// The `"summary"` block is not read back: aggregates are recomputed.
+    pub fn from_json(text: &str) -> Result<Report, String> {
+        /// `obj[key]` read by `as_`, or an error naming the key.
+        fn get<'a, T>(
+            obj: &'a JsonValue,
+            key: &str,
+            as_: impl FnOnce(&'a JsonValue) -> Option<T>,
+        ) -> Result<T, String> {
+            obj.get(key)
+                .and_then(as_)
+                .ok_or_else(|| format!("bench report: missing/invalid \"{key}\""))
+        }
+        let doc = parse_json(text).map_err(|e| e.to_string())?;
+        let id = doc.get("schema").and_then(JsonValue::as_str);
+        let schema = SCHEMAS
+            .into_iter()
+            .find(|s| Some(s.id) == id)
+            .ok_or_else(|| format!("unsupported bench schema {id:?}"))?;
+        let mut out = Report::new(schema);
+        for c in get(&doc, "cases", JsonValue::as_arr)? {
+            let strings = schema
+                .strings
+                .iter()
+                .map(|k| get(c, k, JsonValue::as_str).map(str::to_string))
+                .collect::<Result<Vec<_>, String>>()?;
+            let ints = schema
+                .ints
+                .iter()
+                .map(|k| get(c, k, JsonValue::as_u64))
+                .collect::<Result<Vec<_>, String>>()?;
+            // Reports written before the wall line existed, or stripped of
+            // it, read as runs without a wall measurement.
+            let walls: Vec<u64> = c
+                .get("wall_seconds")
+                .and_then(JsonValue::as_arr)
+                .unwrap_or_default()
+                .iter()
+                .map(|v| match v {
+                    JsonValue::Num(n) => (n * 1e9).round() as u64,
+                    _ => 0,
+                })
+                .collect();
+            let mut runs = Vec::new();
+            for (i, r) in get(c, "runs", JsonValue::as_arr)?.iter().enumerate() {
+                let values = schema
+                    .fields
+                    .iter()
+                    .map(|k| get(r, k, JsonValue::as_i64))
+                    .collect::<Result<Vec<_>, String>>()?;
+                let curve = match r.get("curve") {
+                    None => Vec::new(),
+                    Some(_) => get(r, "curve", |points| {
+                        points
+                            .as_arr()?
+                            .iter()
+                            .map(|p| match p.as_arr()? {
+                                [t, l] => t.as_u64().zip(l.as_i64()),
+                                _ => None,
+                            })
+                            .collect()
+                    })?,
+                };
+                runs.push(Run {
+                    seed: get(r, "seed", JsonValue::as_u64)?,
+                    values,
+                    curve,
+                    wall_ns: walls.get(i).copied(),
+                });
+            }
+            if runs.is_empty() {
+                return Err(format!("bench report: case {} has no runs", strings[0]));
+            }
+            out.cases.push(Case {
+                strings,
+                ints,
+                runs,
+            });
+        }
+        Ok(out)
+    }
+
+    /// Human-readable table: per case, the median of every summary field.
+    pub fn render(&self) -> String {
+        let s = self.schema;
+        let header = std::iter::once(s.strings[0]).chain(s.summary.iter().copied());
+        let mut rows = vec![header.map(str::to_string).collect::<Vec<_>>()];
+        for c in &self.cases {
+            let medians = s
+                .summary
+                .iter()
+                .map(|f| c.stat(s.field(f)).median.to_string());
+            rows.push(
+                std::iter::once(c.key().to_string())
+                    .chain(medians)
+                    .collect(),
+            );
+        }
+        let widths: Vec<usize> = (0..rows[0].len())
+            .map(|j| rows.iter().map(|r| r[j].len()).max().unwrap_or(0))
+            .collect();
+        let mut out = format!("{} (medians across seeds)\n", s.id);
+        for r in &rows {
+            let _ = write!(out, "{:<w$}", r[0], w = widths[0]);
+            for (cell, w) in r.iter().zip(&widths).skip(1) {
+                let _ = write!(out, "  {cell:>w$}");
+            }
+            out.push('\n');
+        }
+        out
+    }
+}
+
+/// True when `cand` exceeds `base` by more than `tolerance_milli`
+/// parts-per-thousand (integer arithmetic; a zero baseline tolerates
+/// nothing).
+fn exceeds(base: u64, cand: u64, tolerance_milli: u64) -> bool {
+    let limit = base + base / 1000 * tolerance_milli + base % 1000 * tolerance_milli / 1000;
+    cand > limit
+}
+
+/// The regression gate: compare a candidate report against a baseline of
+/// the same schema (a schema mismatch is an error, never a pass). A
+/// violation is (a) a baseline case missing from the candidate — coverage
+/// must not silently shrink — (b) an exact field whose aggregate changed,
+/// (c) any other summary median that grew beyond `tolerance_milli`
+/// parts-per-thousand (50 = 5%), or (d) a median wall time that grew more
+/// than 4×. Wall time is host noise, so only a blowup of that size — the
+/// signature of an accidentally quadratic host-side path, not of a busy
+/// machine — counts, and only when both sides measured it. Returns one line
+/// per violation; empty means the gate passes. Improvements never fail the
+/// gate (regenerate the baseline to bank them).
+pub fn compare(base: &Report, cand: &Report, tolerance_milli: u64) -> Result<Vec<String>, String> {
+    let s = base.schema;
+    if s.id != cand.schema.id {
+        return Err(format!(
+            "schema mismatch: baseline is {}, candidate is {}",
+            s.id, cand.schema.id
+        ));
+    }
+    let mut out = Vec::new();
+    for b in &base.cases {
+        let key = b.key();
+        let Some(c) = cand.cases.iter().find(|c| c.key() == key) else {
+            out.push(format!("case {key} missing from candidate"));
+            continue;
+        };
+        for name in s.summary {
+            let (a, v) = (b.stat(s.field(name)), c.stat(s.field(name)));
+            if s.exact.contains(name) {
+                if a != v {
+                    out.push(format!(
+                        "{key} {name}: {} -> {} (must not change)",
+                        a.median, v.median
+                    ));
+                }
+            } else if exceeds(a.median, v.median, tolerance_milli) {
+                let pct = if a.median == 0 {
+                    f64::INFINITY
+                } else {
+                    100.0 * (v.median as f64 - a.median as f64) / a.median as f64
+                };
+                out.push(format!(
+                    "{key} {name}: median {} -> {} (+{pct:.1}%, tolerance {:.1}%)",
+                    a.median,
+                    v.median,
+                    tolerance_milli as f64 / 10.0
+                ));
+            }
+        }
+        if let (Some(a), Some(v)) = (b.wall(), c.wall()) {
+            if a.median > 0 && v.median > a.median.saturating_mul(4) {
+                out.push(format!(
+                    "{key} wall_ns: median {} -> {} (more than 4x; host-side blowup)",
+                    a.median, v.median
+                ));
+            }
+        }
+    }
+    Ok(out)
+}
+
+/// One cell of a sweep grid: a small adapter from one simulation to the
+/// named fields of its kind's [`Schema`].
+pub trait SweepCase {
+    const SCHEMA: &'static Schema;
+    /// The case's string attributes, then its integer attributes, in
+    /// schema order.
+    fn attrs(&self) -> (Vec<String>, Vec<u64>);
+    /// Run the case under one seed.
+    fn run(&self, seed: u64) -> Result<Run, String>;
+}
+
+/// Run every case under every seed. Fails fast on an unknown preset,
+/// algorithm or mode, so a typo cannot silently shrink coverage.
+pub fn sweep<C: SweepCase>(cases: &[C], seeds: &[u64]) -> Result<Report, String> {
+    sweep_by(cases, seeds, C::run)
+}
+
+/// [`sweep`] with a custom per-run function — the one sweep loop.
+fn sweep_by<C: SweepCase>(
+    cases: &[C],
+    seeds: &[u64],
+    mut run: impl FnMut(&C, u64) -> Result<Run, String>,
+) -> Result<Report, String> {
+    if seeds.is_empty() {
+        return Err("a sweep needs at least one seed".to_string());
+    }
+    let mut report = Report::new(C::SCHEMA);
+    for case in cases {
+        let (strings, ints) = case.attrs();
+        let runs = seeds
+            .iter()
+            .map(|&seed| run(case, seed))
+            .collect::<Result<_, _>>()?;
+        report.cases.push(Case {
+            strings,
+            ints,
+            runs,
+        });
+    }
+    Ok(report)
+}
+
+/// Run `f` and measure its host wall time in nanoseconds.
+fn timed<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let t0 = Instant::now();
+    let out = f();
+    (out, t0.elapsed().as_nanos() as u64)
+}
+
+/// The data generator of a training preset.
+fn preset_gen(preset: &str, workers: usize, seed: u64) -> Result<SparseDatasetGen, String> {
+    match preset {
+        "kddb" => Ok(presets::kddb(workers, seed).gen),
+        "kdd12" => Ok(presets::kdd12(workers, seed).gen),
+        "ctr" => Ok(presets::ctr(workers, seed).gen),
+        other => Err(format!("unknown bench preset '{other}'")),
+    }
+}
+
+// ---- the training sweep ------------------------------------------------------
+
+/// One cell of the training grid: a dataset preset trained by one algorithm.
 #[derive(Clone, Debug)]
 pub struct BenchCase {
     /// Stable identifier, e.g. `kddb-lr` — the gate joins baseline and
@@ -55,7 +600,7 @@ pub struct BenchCase {
     pub iters: usize,
 }
 
-/// Seeds every case is run under by default.
+/// Seeds every training case is run under by default.
 pub const DEFAULT_SEEDS: &[u64] = &[1, 2, 3];
 
 /// The small grid CI sweeps: two sparse presets × three algorithms, sized
@@ -76,6 +621,102 @@ pub fn small_cases(workers: usize, servers: usize, iters: usize) -> Vec<BenchCas
         case("kdd12", "lr"),
         case("kdd12", "lbfgs"),
     ]
+}
+
+impl SweepCase for BenchCase {
+    const SCHEMA: &'static Schema = &TRAIN;
+
+    fn attrs(&self) -> (Vec<String>, Vec<u64>) {
+        (
+            vec![
+                self.name.clone(),
+                self.preset.clone(),
+                self.algorithm.clone(),
+            ],
+            vec![self.workers as u64, self.servers as u64, self.iters as u64],
+        )
+    }
+
+    fn run(&self, seed: u64) -> Result<Run, String> {
+        self.run_profiled(seed, false).map(|(run, _)| run)
+    }
+}
+
+impl BenchCase {
+    /// Run under one seed with an optional host-profile capture. With
+    /// `host` true the builder also scrapes 1 ms telemetry windows, so the
+    /// `scrape.roll` scope is represented in the host sidecar (the cases
+    /// finish in a few virtual ms, hence the small window). Scraping is
+    /// non-yielding, so the virtual numbers are identical either way — that
+    /// is the profiler's contract. The caller owns the global
+    /// [`hostprof::set_enabled`] switch (see [`sweep_with_host`]).
+    fn run_profiled(&self, seed: u64, host: bool) -> Result<(Run, Option<HostProfile>), String> {
+        let builder = SimBuilder::new().seed(seed);
+        let builder = if host {
+            builder.timeseries(SimTime::from_millis(1))
+        } else {
+            builder
+        };
+        let (report, wall_ns) = timed(|| self.simulate(seed, builder));
+        let report = report?;
+        let virtual_ns = report.virtual_time.as_nanos();
+        // Time inside training iterations; the rest of the makespan is
+        // setup: data generation, caching, DCV creation, scheduling tails.
+        let train_ns = report
+            .metrics
+            .hist("ml.iteration")
+            .map(|h| h.sum_ns())
+            .unwrap_or(0);
+        let mut run = Run::named(
+            &TRAIN,
+            seed,
+            &[
+                ("virtual_ns", virtual_ns as i64),
+                ("setup_ns", virtual_ns.saturating_sub(train_ns) as i64),
+                ("train_ns", train_ns as i64),
+                ("iterations", report.metrics.counter("ml.iterations") as i64),
+                ("total_msgs", report.total_msgs as i64),
+                ("total_bytes", report.total_bytes as i64),
+            ],
+        );
+        run.wall_ns = Some(wall_ns);
+        Ok((run, report.host))
+    }
+
+    /// Run under one seed on the given builder and return the full
+    /// [`crate::SimReport`] — shared by the sweep and [`run_case_slo`].
+    fn simulate(&self, seed: u64, builder: SimBuilder) -> Result<crate::SimReport, String> {
+        let spec = ClusterSpec {
+            workers: self.workers,
+            servers: self.servers,
+            ..ClusterSpec::default()
+        };
+        let iters = self.iters;
+        let gen = preset_gen(&self.preset, self.workers, seed)?;
+        let (_, report) = match self.algorithm.as_str() {
+            "lr" => run_ps2_with(builder, spec, move |ctx, ps2| {
+                train_lr(
+                    ctx,
+                    ps2,
+                    &LrConfig::new(gen, Optimizer::Sgd, iters),
+                    LrBackend::Ps2Dcv,
+                );
+            }),
+            "svm" => run_ps2_with(builder, spec, move |ctx, ps2| {
+                train_svm(ctx, ps2, &SvmConfig::new(gen, iters));
+            }),
+            "lbfgs" => run_ps2_with(builder, spec, move |ctx, ps2| {
+                let mut cfg = LbfgsConfig::new(gen, iters);
+                // Full-batch gradients would dominate the sweep's wall time;
+                // a fixed fraction keeps the case cheap and still exercises
+                // the server-side two-loop recursion.
+                cfg.batch_fraction = 0.25;
+                train_lbfgs(ctx, ps2, &cfg);
+            }),
+            other => return Err(format!("unknown bench algorithm '{other}'")),
+        };
+        Ok(report)
+    }
 }
 
 /// The service-level objectives a preset's PS traffic is held to, evaluated
@@ -142,124 +783,6 @@ pub fn preset_slos(preset: Option<&str>) -> Vec<SloObjective> {
     ]
 }
 
-/// Measurements from a single seeded run of a case.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CaseRun {
-    pub seed: u64,
-    /// Makespan of the whole simulation.
-    pub virtual_ns: u64,
-    /// Makespan minus the summed training-iteration spans: data generation,
-    /// caching, DCV creation, and scheduling tails.
-    pub setup_ns: u64,
-    /// Sum of the `ml.iteration` histogram — time inside training
-    /// iterations.
-    pub train_ns: u64,
-    pub iterations: u64,
-    pub total_msgs: u64,
-    pub total_bytes: u64,
-    /// Host wall-clock nanoseconds the run took. Unlike every other field
-    /// this is *not* deterministic; it is serialized on its own strippable
-    /// line and gated only against order-of-magnitude blowups.
-    pub wall_ns: u64,
-}
-
-/// Run one case under one seed and split its phases.
-pub fn run_case(case: &BenchCase, seed: u64) -> Result<CaseRun, String> {
-    run_case_profiled(case, seed, false).map(|(run, _)| run)
-}
-
-/// [`run_case`] with an optional host-profile capture. With `host` true the
-/// builder also enables windowed telemetry (proven non-perturbing) so the
-/// `scrape.roll` scope is represented, and the run's [`HostProfile`] is
-/// returned alongside the virtual measurements. The caller owns the global
-/// [`hostprof::set_enabled`] switch (see [`sweep_with_host`]); the *virtual*
-/// numbers are identical either way — that is the profiler's contract.
-pub fn run_case_profiled(
-    case: &BenchCase,
-    seed: u64,
-    host: bool,
-) -> Result<(CaseRun, Option<HostProfile>), String> {
-    let builder = SimBuilder::new().seed(seed);
-    // Profiled runs also scrape 1 ms telemetry windows, so the `scrape.roll`
-    // scope is represented in the host sidecar. Scraping is non-yielding
-    // (proven by the timeseries determinism tests), so the virtual-time
-    // numbers stay identical to the unprofiled sweep's. The cases finish in
-    // a few virtual ms, hence the small window.
-    let builder = if host {
-        builder.timeseries(SimTime::from_millis(1))
-    } else {
-        builder
-    };
-    let t0 = std::time::Instant::now();
-    let report = run_case_report(case, seed, builder)?;
-    let wall_ns = t0.elapsed().as_nanos() as u64;
-    let virtual_ns = report.virtual_time.as_nanos();
-    let train_ns = report
-        .metrics
-        .hist("ml.iteration")
-        .map(|h| h.sum_ns())
-        .unwrap_or(0);
-    Ok((
-        CaseRun {
-            seed,
-            virtual_ns,
-            setup_ns: virtual_ns.saturating_sub(train_ns),
-            train_ns,
-            iterations: report.metrics.counter("ml.iterations"),
-            total_msgs: report.total_msgs,
-            total_bytes: report.total_bytes,
-            wall_ns,
-        },
-        report.host,
-    ))
-}
-
-/// Run one case under one seed on the given builder and return the full
-/// [`SimReport`] — the shared core of [`run_case_profiled`] and
-/// [`run_case_slo`].
-fn run_case_report(
-    case: &BenchCase,
-    seed: u64,
-    builder: SimBuilder,
-) -> Result<crate::SimReport, String> {
-    let spec = ClusterSpec {
-        workers: case.workers,
-        servers: case.servers,
-        ..ClusterSpec::default()
-    };
-    let workers = case.workers;
-    let iters = case.iters;
-    let gen = match case.preset.as_str() {
-        "kddb" => presets::kddb(workers, seed).gen,
-        "kdd12" => presets::kdd12(workers, seed).gen,
-        "ctr" => presets::ctr(workers, seed).gen,
-        other => return Err(format!("unknown bench preset '{other}'")),
-    };
-    let (_, report) = match case.algorithm.as_str() {
-        "lr" => run_ps2_with(builder, spec, move |ctx, ps2| {
-            train_lr(
-                ctx,
-                ps2,
-                &LrConfig::new(gen, Optimizer::Sgd, iters),
-                LrBackend::Ps2Dcv,
-            );
-        }),
-        "svm" => run_ps2_with(builder, spec, move |ctx, ps2| {
-            train_svm(ctx, ps2, &SvmConfig::new(gen, iters));
-        }),
-        "lbfgs" => run_ps2_with(builder, spec, move |ctx, ps2| {
-            let mut cfg = LbfgsConfig::new(gen, iters);
-            // Full-batch gradients would dominate the sweep's wall time;
-            // a fixed fraction keeps the case cheap and still exercises
-            // the server-side two-loop recursion.
-            cfg.batch_fraction = 0.25;
-            train_lbfgs(ctx, ps2, &cfg);
-        }),
-        other => return Err(format!("unknown bench algorithm '{other}'")),
-    };
-    Ok(report)
-}
-
 /// Headline numbers from one SLO-traced run of a case.
 #[derive(Clone, Debug)]
 pub struct SloCaseRun {
@@ -281,7 +804,7 @@ pub fn run_case_slo(case: &BenchCase, seed: u64) -> Result<SloCaseRun, String> {
         .seed(seed)
         .reqtrace(true)
         .timeseries(SimTime::from_millis(1));
-    let report = run_case_report(case, seed, builder)?;
+    let report = case.simulate(seed, builder)?;
     let objectives = preset_slos(Some(case.preset.as_str()));
     let alerts = Watchdog::default().evaluate_slo(&report, &objectives);
     let reqs = report.reqs.as_ref().expect("request tracing was enabled");
@@ -324,624 +847,7 @@ pub fn slo_sweep(cases: &[BenchCase], seed: u64) -> Result<(Vec<SloCaseRun>, Str
     Ok((runs, s))
 }
 
-/// min/median/max of one measurement across seeds.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Stat {
-    pub min: u64,
-    pub median: u64,
-    pub max: u64,
-}
-
-impl Stat {
-    /// Aggregate a non-empty sample; an even count takes the mean of the
-    /// two central values (integer division — stays deterministic).
-    pub fn of(mut vals: Vec<u64>) -> Stat {
-        assert!(!vals.is_empty(), "Stat::of needs at least one sample");
-        vals.sort_unstable();
-        let n = vals.len();
-        let median = if n % 2 == 1 {
-            vals[n / 2]
-        } else {
-            (vals[n / 2 - 1] + vals[n / 2]) / 2
-        };
-        Stat {
-            min: vals[0],
-            median,
-            max: vals[n - 1],
-        }
-    }
-}
-
-/// Append the strippable per-case wall-time line: `"wall_seconds": [..],`
-/// on its own full line (one value per run, seconds at µs precision), so
-/// `grep -v '"wall_seconds"'` restores the deterministic document byte for
-/// byte. Shared by the training and serving sweep serializers.
-fn push_wall_seconds_line(out: &mut String, walls: impl Iterator<Item = u64>) {
-    out.push_str("\n      \"wall_seconds\": [");
-    for (j, w) in walls.enumerate() {
-        let _ = write!(
-            out,
-            "{}{:.6}",
-            if j > 0 { ", " } else { "" },
-            w as f64 / 1e9
-        );
-    }
-    out.push_str("],");
-}
-
-/// Read a case's optional `wall_seconds` array back into per-run
-/// nanoseconds. Reports written before the field existed (or hand-stripped
-/// ones) parse as empty — callers default each run's wall to 0, which
-/// disables the wall gate for that case.
-fn parse_wall_seconds(case: &JsonValue) -> Vec<u64> {
-    case.get("wall_seconds")
-        .and_then(JsonValue::as_arr)
-        .map(|a| {
-            a.iter()
-                .map(|v| match v {
-                    JsonValue::Num(n) => (n * 1e9).round() as u64,
-                    _ => 0,
-                })
-                .collect()
-        })
-        .unwrap_or_default()
-}
-
-/// A case plus its per-seed runs and cross-seed aggregates.
-#[derive(Clone, Debug)]
-pub struct CaseSummary {
-    pub case: BenchCase,
-    pub runs: Vec<CaseRun>,
-    pub virtual_ns: Stat,
-    pub setup_ns: Stat,
-    pub train_ns: Stat,
-    pub total_msgs: Stat,
-    pub total_bytes: Stat,
-    /// Host wall time across seeds — noise, kept out of the summary block
-    /// in the JSON and out of the hard gate.
-    pub wall_ns: Stat,
-}
-
-impl CaseSummary {
-    fn of(case: BenchCase, runs: Vec<CaseRun>) -> CaseSummary {
-        let pick = |f: fn(&CaseRun) -> u64| Stat::of(runs.iter().map(f).collect());
-        CaseSummary {
-            virtual_ns: pick(|r| r.virtual_ns),
-            setup_ns: pick(|r| r.setup_ns),
-            train_ns: pick(|r| r.train_ns),
-            total_msgs: pick(|r| r.total_msgs),
-            total_bytes: pick(|r| r.total_bytes),
-            wall_ns: pick(|r| r.wall_ns),
-            case,
-            runs,
-        }
-    }
-}
-
-/// A full sweep result — what `BENCH_pr5.json` holds.
-#[derive(Clone, Debug, Default)]
-pub struct BenchReport {
-    pub cases: Vec<CaseSummary>,
-}
-
-/// Run every case under every seed. Fails fast on an unknown preset or
-/// algorithm so a typo cannot silently shrink coverage.
-pub fn sweep(cases: &[BenchCase], seeds: &[u64]) -> Result<BenchReport, String> {
-    let mut out = BenchReport::default();
-    for case in cases {
-        let mut runs = Vec::with_capacity(seeds.len());
-        for &seed in seeds {
-            runs.push(run_case(case, seed)?);
-        }
-        out.cases.push(CaseSummary::of(case.clone(), runs));
-    }
-    Ok(out)
-}
-
-impl BenchReport {
-    /// Serialize deterministically: cases in sweep order, integers only.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"schema\": \"ps2-bench-v1\",\n  \"cases\": [");
-        for (i, c) in self.cases.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {\n      \"name\": ");
-            render_json_string(&c.case.name, &mut out);
-            out.push_str(", \"preset\": ");
-            render_json_string(&c.case.preset, &mut out);
-            out.push_str(", \"algorithm\": ");
-            render_json_string(&c.case.algorithm, &mut out);
-            let _ = write!(
-                out,
-                ",\n      \"workers\": {}, \"servers\": {}, \"iters\": {},",
-                c.case.workers, c.case.servers, c.case.iters
-            );
-            // Wall time is host noise, so it lives alone on one full line:
-            // `grep -v '"wall_seconds"'` recovers the byte-exact deterministic
-            // document (that is how CI diffs a fresh sweep against a baseline
-            // written before this field existed).
-            push_wall_seconds_line(&mut out, c.runs.iter().map(|r| r.wall_ns));
-            out.push_str("\n      \"runs\": [");
-            for (j, r) in c.runs.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(
-                    out,
-                    "\n        {{\"seed\": {}, \"virtual_ns\": {}, \"setup_ns\": {}, \
-                     \"train_ns\": {}, \"iterations\": {}, \"total_msgs\": {}, \
-                     \"total_bytes\": {}}}",
-                    r.seed,
-                    r.virtual_ns,
-                    r.setup_ns,
-                    r.train_ns,
-                    r.iterations,
-                    r.total_msgs,
-                    r.total_bytes
-                );
-            }
-            out.push_str("\n      ],\n      \"summary\": {");
-            let stat = |out: &mut String, name: &str, s: Stat, last: bool| {
-                let _ = write!(
-                    out,
-                    "\n        \"{name}\": {{\"min\": {}, \"median\": {}, \"max\": {}}}{}",
-                    s.min,
-                    s.median,
-                    s.max,
-                    if last { "" } else { "," }
-                );
-            };
-            stat(&mut out, "virtual_ns", c.virtual_ns, false);
-            stat(&mut out, "setup_ns", c.setup_ns, false);
-            stat(&mut out, "train_ns", c.train_ns, false);
-            stat(&mut out, "total_msgs", c.total_msgs, false);
-            stat(&mut out, "total_bytes", c.total_bytes, true);
-            out.push_str("\n      }\n    }");
-        }
-        out.push_str("\n  ]\n}\n");
-        out
-    }
-
-    /// Parse a report written by [`BenchReport::to_json`] (via the same
-    /// dependency-free parser `ps2-trace` uses).
-    pub fn from_json(text: &str) -> Result<BenchReport, String> {
-        let doc = parse_json(text).map_err(|e| e.to_string())?;
-        match doc.get("schema").and_then(JsonValue::as_str) {
-            Some("ps2-bench-v1") => {}
-            other => return Err(format!("unsupported bench schema {other:?}")),
-        }
-        let u64_field = |obj: &JsonValue, key: &str| -> Result<u64, String> {
-            obj.get(key)
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| format!("bench report: missing/invalid \"{key}\""))
-        };
-        let str_field = |obj: &JsonValue, key: &str| -> Result<String, String> {
-            obj.get(key)
-                .and_then(JsonValue::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("bench report: missing/invalid \"{key}\""))
-        };
-        let mut out = BenchReport::default();
-        for c in doc
-            .get("cases")
-            .and_then(JsonValue::as_arr)
-            .ok_or("bench report: missing \"cases\"")?
-        {
-            let case = BenchCase {
-                name: str_field(c, "name")?,
-                preset: str_field(c, "preset")?,
-                algorithm: str_field(c, "algorithm")?,
-                workers: u64_field(c, "workers")? as usize,
-                servers: u64_field(c, "servers")? as usize,
-                iters: u64_field(c, "iters")? as usize,
-            };
-            let walls = parse_wall_seconds(c);
-            let runs = c
-                .get("runs")
-                .and_then(JsonValue::as_arr)
-                .ok_or("bench report: case missing \"runs\"")?
-                .iter()
-                .enumerate()
-                .map(|(i, r)| {
-                    Ok(CaseRun {
-                        seed: u64_field(r, "seed")?,
-                        virtual_ns: u64_field(r, "virtual_ns")?,
-                        setup_ns: u64_field(r, "setup_ns")?,
-                        train_ns: u64_field(r, "train_ns")?,
-                        iterations: u64_field(r, "iterations")?,
-                        total_msgs: u64_field(r, "total_msgs")?,
-                        total_bytes: u64_field(r, "total_bytes")?,
-                        wall_ns: walls.get(i).copied().unwrap_or(0),
-                    })
-                })
-                .collect::<Result<Vec<_>, String>>()?;
-            if runs.is_empty() {
-                return Err(format!("bench report: case {} has no runs", case.name));
-            }
-            // Aggregates are recomputed, not trusted: a hand-edited summary
-            // cannot loosen the gate.
-            out.cases.push(CaseSummary::of(case, runs));
-        }
-        Ok(out)
-    }
-
-    /// Human-readable sweep table (virtual seconds, median [min..max]).
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let secs = |ns: u64| ns as f64 / 1e9;
-        out.push_str(
-            "case            virtual median [min..max]        setup      train       msgs\n",
-        );
-        for c in &self.cases {
-            let _ = writeln!(
-                out,
-                "{:<15} {:>9.4}s [{:.4}..{:.4}] {:>9.4}s {:>9.4}s {:>10}",
-                c.case.name,
-                secs(c.virtual_ns.median),
-                secs(c.virtual_ns.min),
-                secs(c.virtual_ns.max),
-                secs(c.setup_ns.median),
-                secs(c.train_ns.median),
-                c.total_msgs.median
-            );
-        }
-        out
-    }
-}
-
-/// True when `cand` exceeds `base` by more than `tolerance_milli`
-/// parts-per-thousand (integer arithmetic; a zero baseline tolerates
-/// nothing).
-fn exceeds(base: u64, cand: u64, tolerance_milli: u64) -> bool {
-    let limit = base + base / 1000 * tolerance_milli + base % 1000 * tolerance_milli / 1000;
-    cand > limit
-}
-
-/// The regression gate: compare a candidate sweep against a baseline. A
-/// violation is (a) a baseline case missing from the candidate — coverage
-/// must not silently shrink — or (b) a median metric that grew beyond
-/// `tolerance_milli` parts-per-thousand (50 = 5%). Returns one line per
-/// violation; empty means the gate passes. Improvements never fail the
-/// gate (regenerate the baseline to bank them).
-pub fn compare(base: &BenchReport, cand: &BenchReport, tolerance_milli: u64) -> Vec<String> {
-    let mut out = Vec::new();
-    for b in &base.cases {
-        let Some(c) = cand.cases.iter().find(|c| c.case.name == b.case.name) else {
-            out.push(format!("case {} missing from candidate", b.case.name));
-            continue;
-        };
-        let mut check = |metric: &str, a: Stat, v: Stat| {
-            if exceeds(a.median, v.median, tolerance_milli) {
-                let pct = if a.median == 0 {
-                    f64::INFINITY
-                } else {
-                    100.0 * (v.median as f64 - a.median as f64) / a.median as f64
-                };
-                out.push(format!(
-                    "{} {metric}: median {} -> {} (+{pct:.1}%, tolerance {:.1}%)",
-                    b.case.name,
-                    a.median,
-                    v.median,
-                    tolerance_milli as f64 / 10.0
-                ));
-            }
-        };
-        check("virtual_ns", b.virtual_ns, c.virtual_ns);
-        check("setup_ns", b.setup_ns, c.setup_ns);
-        check("train_ns", b.train_ns, c.train_ns);
-        check("total_msgs", b.total_msgs, c.total_msgs);
-        check("total_bytes", b.total_bytes, c.total_bytes);
-        check_wall(&mut out, &b.case.name, b.wall_ns, c.wall_ns);
-    }
-    out
-}
-
-/// The *soft* wall-clock gate shared by the training and serving sweeps:
-/// wall time is host noise (different runners, caches, thermal state), so
-/// only a >4× median blowup — the signature of an accidentally quadratic
-/// host-side path, not of a busy machine — is a violation. A zero baseline
-/// median (a report written before `wall_seconds` existed, or a stripped
-/// one) disables the check for that case.
-fn check_wall(out: &mut Vec<String>, name: &str, base: Stat, cand: Stat) {
-    if base.median > 0 && cand.median > base.median.saturating_mul(4) {
-        out.push(format!(
-            "{name} wall_ns: median {} -> {} (more than 4x; host-side blowup)",
-            base.median, cand.median
-        ));
-    }
-}
-
-// ---- the serving sweep ------------------------------------------------------
-
-/// Seeds for the serve sweep. Two: each serve case is already 10k–20k
-/// endpoints and a few hundred thousand pulls, and the runs are
-/// deterministic — the second seed exists so one lucky arrival interleaving
-/// cannot hide a tail regression.
-pub const SERVE_SEEDS: &[u64] = &[1, 2];
-
-/// Measurements from a single seeded run of a serving scenario. Everything
-/// but `wall_ns` is virtual and deterministic.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ServeCaseRun {
-    pub seed: u64,
-    /// Makespan: model load + generation window + reply drain.
-    pub virtual_ns: u64,
-    /// Pulls completed (replies gathered) — the open-loop schedule fixes
-    /// issues, so this equals issues in any healthy run.
-    pub pulls: u64,
-    /// Pull-latency tail, virtual nanoseconds.
-    pub p99_ns: u64,
-    pub p999_ns: u64,
-    pub total_msgs: u64,
-    pub total_bytes: u64,
-    /// Host wall-clock nanoseconds — noise; strippable line, soft gate.
-    pub wall_ns: u64,
-}
-
-/// Run one serving preset under one seed.
-pub fn run_serve_case(preset: &str, seed: u64) -> Result<ServeCaseRun, String> {
-    let spec = serve_spec(preset).ok_or_else(|| {
-        format!(
-            "unknown serve preset '{preset}' (want {})",
-            SERVE_PRESETS.join("|")
-        )
-    })?;
-    let t0 = std::time::Instant::now();
-    let (summary, report) = run_serve(SimBuilder::new().seed(seed), &spec);
-    let wall_ns = t0.elapsed().as_nanos() as u64;
-    if summary.completed != summary.issued {
-        return Err(format!(
-            "serve case {preset} seed {seed}: {} of {} pulls unanswered",
-            summary.issued - summary.completed,
-            summary.issued
-        ));
-    }
-    Ok(ServeCaseRun {
-        seed,
-        virtual_ns: summary.virtual_ns,
-        pulls: summary.completed,
-        p99_ns: summary.p99_ns,
-        p999_ns: summary.p999_ns,
-        total_msgs: report.total_msgs,
-        total_bytes: report.total_bytes,
-        wall_ns,
-    })
-}
-
-/// A serving preset plus its per-seed runs and cross-seed aggregates.
-#[derive(Clone, Debug)]
-pub struct ServeCaseSummary {
-    pub preset: String,
-    pub endpoints: u64,
-    pub runs: Vec<ServeCaseRun>,
-    pub virtual_ns: Stat,
-    pub pulls: Stat,
-    pub p99_ns: Stat,
-    pub p999_ns: Stat,
-    pub total_msgs: Stat,
-    pub total_bytes: Stat,
-    pub wall_ns: Stat,
-}
-
-impl ServeCaseSummary {
-    fn of(preset: String, endpoints: u64, runs: Vec<ServeCaseRun>) -> ServeCaseSummary {
-        let pick = |f: fn(&ServeCaseRun) -> u64| Stat::of(runs.iter().map(f).collect());
-        ServeCaseSummary {
-            virtual_ns: pick(|r| r.virtual_ns),
-            pulls: pick(|r| r.pulls),
-            p99_ns: pick(|r| r.p99_ns),
-            p999_ns: pick(|r| r.p999_ns),
-            total_msgs: pick(|r| r.total_msgs),
-            total_bytes: pick(|r| r.total_bytes),
-            wall_ns: pick(|r| r.wall_ns),
-            preset,
-            endpoints,
-            runs,
-        }
-    }
-}
-
-/// A full serving sweep — what `BENCH_pr9.json` holds.
-#[derive(Clone, Debug, Default)]
-pub struct ServeBenchReport {
-    pub cases: Vec<ServeCaseSummary>,
-}
-
-/// Run every serving preset under every seed; fails fast on a typo'd preset
-/// or an unhealthy run (unanswered pulls).
-pub fn serve_sweep(presets: &[&str], seeds: &[u64]) -> Result<ServeBenchReport, String> {
-    let mut out = ServeBenchReport::default();
-    for &preset in presets {
-        let endpoints = serve_spec(preset)
-            .ok_or_else(|| format!("unknown serve preset '{preset}'"))?
-            .endpoints();
-        let mut runs = Vec::with_capacity(seeds.len());
-        for &seed in seeds {
-            runs.push(run_serve_case(preset, seed)?);
-        }
-        out.cases
-            .push(ServeCaseSummary::of(preset.to_string(), endpoints, runs));
-    }
-    Ok(out)
-}
-
-impl ServeBenchReport {
-    /// Serialize deterministically, mirroring [`BenchReport::to_json`]:
-    /// integers only, except the strippable per-case `wall_seconds` line.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"schema\": \"ps2-bench-serve-v1\",\n  \"cases\": [");
-        for (i, c) in self.cases.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {\n      \"preset\": ");
-            render_json_string(&c.preset, &mut out);
-            let _ = write!(out, ",\n      \"endpoints\": {},", c.endpoints);
-            push_wall_seconds_line(&mut out, c.runs.iter().map(|r| r.wall_ns));
-            out.push_str("\n      \"runs\": [");
-            for (j, r) in c.runs.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(
-                    out,
-                    "\n        {{\"seed\": {}, \"virtual_ns\": {}, \"pulls\": {}, \
-                     \"p99_ns\": {}, \"p999_ns\": {}, \"total_msgs\": {}, \
-                     \"total_bytes\": {}}}",
-                    r.seed, r.virtual_ns, r.pulls, r.p99_ns, r.p999_ns, r.total_msgs, r.total_bytes
-                );
-            }
-            out.push_str("\n      ],\n      \"summary\": {");
-            let stat = |out: &mut String, name: &str, s: Stat, last: bool| {
-                let _ = write!(
-                    out,
-                    "\n        \"{name}\": {{\"min\": {}, \"median\": {}, \"max\": {}}}{}",
-                    s.min,
-                    s.median,
-                    s.max,
-                    if last { "" } else { "," }
-                );
-            };
-            stat(&mut out, "virtual_ns", c.virtual_ns, false);
-            stat(&mut out, "pulls", c.pulls, false);
-            stat(&mut out, "p99_ns", c.p99_ns, false);
-            stat(&mut out, "p999_ns", c.p999_ns, false);
-            stat(&mut out, "total_msgs", c.total_msgs, false);
-            stat(&mut out, "total_bytes", c.total_bytes, true);
-            out.push_str("\n      }\n    }");
-        }
-        out.push_str("\n  ]\n}\n");
-        out
-    }
-
-    /// Parse a report written by [`ServeBenchReport::to_json`]; aggregates
-    /// are recomputed, not trusted.
-    pub fn from_json(text: &str) -> Result<ServeBenchReport, String> {
-        let doc = parse_json(text).map_err(|e| e.to_string())?;
-        match doc.get("schema").and_then(JsonValue::as_str) {
-            Some("ps2-bench-serve-v1") => {}
-            other => return Err(format!("unsupported serve bench schema {other:?}")),
-        }
-        let u64_field = |obj: &JsonValue, key: &str| -> Result<u64, String> {
-            obj.get(key)
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| format!("serve bench report: missing/invalid \"{key}\""))
-        };
-        let mut out = ServeBenchReport::default();
-        for c in doc
-            .get("cases")
-            .and_then(JsonValue::as_arr)
-            .ok_or("serve bench report: missing \"cases\"")?
-        {
-            let preset = c
-                .get("preset")
-                .and_then(JsonValue::as_str)
-                .ok_or("serve bench report: case missing \"preset\"")?
-                .to_string();
-            let endpoints = u64_field(c, "endpoints")?;
-            let walls = parse_wall_seconds(c);
-            let runs = c
-                .get("runs")
-                .and_then(JsonValue::as_arr)
-                .ok_or("serve bench report: case missing \"runs\"")?
-                .iter()
-                .enumerate()
-                .map(|(i, r)| {
-                    Ok(ServeCaseRun {
-                        seed: u64_field(r, "seed")?,
-                        virtual_ns: u64_field(r, "virtual_ns")?,
-                        pulls: u64_field(r, "pulls")?,
-                        p99_ns: u64_field(r, "p99_ns")?,
-                        p999_ns: u64_field(r, "p999_ns")?,
-                        total_msgs: u64_field(r, "total_msgs")?,
-                        total_bytes: u64_field(r, "total_bytes")?,
-                        wall_ns: walls.get(i).copied().unwrap_or(0),
-                    })
-                })
-                .collect::<Result<Vec<_>, String>>()?;
-            if runs.is_empty() {
-                return Err(format!("serve bench report: case {preset} has no runs"));
-            }
-            out.cases
-                .push(ServeCaseSummary::of(preset, endpoints, runs));
-        }
-        Ok(out)
-    }
-
-    /// Human-readable sweep table: tail latency in virtual microseconds.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(
-            "case          endpoints     pulls   p99 median [min..max] µs     p999 µs    virtual\n",
-        );
-        for c in &self.cases {
-            let us = |ns: u64| ns as f64 / 1e3;
-            let _ = writeln!(
-                out,
-                "{:<13} {:>9} {:>9} {:>9.1} [{:.1}..{:.1}] {:>12.1} {:>9.4}s",
-                c.preset,
-                c.endpoints,
-                c.pulls.median,
-                us(c.p99_ns.median),
-                us(c.p99_ns.min),
-                us(c.p99_ns.max),
-                us(c.p999_ns.median),
-                c.virtual_ns.median as f64 / 1e9
-            );
-        }
-        out
-    }
-}
-
-/// The serving regression gate, mirroring [`compare`]: missing cases and
-/// median growth beyond tolerance fail; `pulls` additionally fails on *any*
-/// change (the open-loop schedule fixes the count — a different number means
-/// the generator itself changed); wall time gets the soft 4× gate.
-pub fn compare_serve(
-    base: &ServeBenchReport,
-    cand: &ServeBenchReport,
-    tolerance_milli: u64,
-) -> Vec<String> {
-    let mut out = Vec::new();
-    for b in &base.cases {
-        let Some(c) = cand.cases.iter().find(|c| c.preset == b.preset) else {
-            out.push(format!("serve case {} missing from candidate", b.preset));
-            continue;
-        };
-        if c.pulls != b.pulls {
-            out.push(format!(
-                "{} pulls: {} -> {} (open-loop count must not change)",
-                b.preset, b.pulls.median, c.pulls.median
-            ));
-        }
-        let mut check = |metric: &str, a: Stat, v: Stat| {
-            if exceeds(a.median, v.median, tolerance_milli) {
-                let pct = if a.median == 0 {
-                    f64::INFINITY
-                } else {
-                    100.0 * (v.median as f64 - a.median as f64) / a.median as f64
-                };
-                out.push(format!(
-                    "{} {metric}: median {} -> {} (+{pct:.1}%, tolerance {:.1}%)",
-                    b.preset,
-                    a.median,
-                    v.median,
-                    tolerance_milli as f64 / 10.0
-                ));
-            }
-        };
-        check("virtual_ns", b.virtual_ns, c.virtual_ns);
-        check("p99_ns", b.p99_ns, c.p99_ns);
-        check("p999_ns", b.p999_ns, c.p999_ns);
-        check("total_msgs", b.total_msgs, c.total_msgs);
-        check("total_bytes", b.total_bytes, c.total_bytes);
-        check_wall(&mut out, &b.preset, b.wall_ns, c.wall_ns);
-    }
-    out
-}
-
-// ---- the consistency-mode sweep ---------------------------------------------
+// ---- the consistency-mode sweep ----------------------------------------------
 
 /// One cell of the consistency-mode grid: preset × algorithm × mode. Unlike
 /// [`BenchCase`] this sweep measures *convergence vs. virtual time*, not
@@ -987,309 +893,106 @@ pub fn mode_cases(workers: usize, servers: usize, iters: u32) -> Vec<ModeCase> {
     out
 }
 
-/// Measurements from a single seeded run of a mode case.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ModeRun {
-    pub seed: u64,
-    pub virtual_ns: u64,
-    /// Mean batch loss of the last iteration, in micros.
-    pub final_loss_micro: i64,
-    pub iterations: u64,
-    pub total_msgs: u64,
-    pub total_bytes: u64,
-    /// The convergence curve: `(virtual ns, mean batch loss in micros)`
-    /// per iteration, in iteration order.
-    pub curve: Vec<(u64, i64)>,
-}
+impl SweepCase for ModeCase {
+    const SCHEMA: &'static Schema = &MODES;
 
-/// Run one mode case under one seed.
-pub fn run_mode_case(case: &ModeCase, seed: u64) -> Result<ModeRun, String> {
-    let gen = match case.preset.as_str() {
-        "kddb" => presets::kddb(case.workers, seed).gen,
-        "kdd12" => presets::kdd12(case.workers, seed).gen,
-        "ctr" => presets::ctr(case.workers, seed).gen,
-        other => return Err(format!("unknown bench preset '{other}'")),
-    };
-    let mode = ConsistencyMode::parse(&case.mode)?;
-    let algo = ModeAlgo::parse(&case.algorithm)?;
-    let mut cfg = ModeConfig::new(gen, case.workers, case.servers, mode);
-    cfg.iterations = case.iters;
-    cfg.learning_rate = 1.0;
-    cfg.seed = seed;
-    // A mild fixed straggler, so the three modes actually differ in pacing
-    // and the curves show the tradeoff the sweep exists to watch.
-    cfg.straggler_slowdown = SimTime::from_millis(20);
-    let (trace, report) = run_mode(&cfg, algo);
-    let curve: Vec<(u64, i64)> = trace
-        .points
-        .iter()
-        .map(|&(s, l)| ((s * 1e9).round() as u64, (l * 1e6).round() as i64))
-        .collect();
-    Ok(ModeRun {
-        seed,
-        virtual_ns: report.virtual_time.as_nanos(),
-        final_loss_micro: curve.last().map(|&(_, l)| l).unwrap_or(0),
-        iterations: report.metrics.counter("ml.iterations"),
-        total_msgs: report.total_msgs,
-        total_bytes: report.total_bytes,
-        curve,
-    })
-}
+    fn attrs(&self) -> (Vec<String>, Vec<u64>) {
+        (
+            vec![
+                self.name.clone(),
+                self.preset.clone(),
+                self.algorithm.clone(),
+                self.mode.clone(),
+            ],
+            vec![self.workers as u64, self.servers as u64, self.iters as u64],
+        )
+    }
 
-/// A mode case plus its per-seed runs and cross-seed aggregates.
-#[derive(Clone, Debug)]
-pub struct ModeCaseSummary {
-    pub case: ModeCase,
-    pub runs: Vec<ModeRun>,
-    pub virtual_ns: Stat,
-    /// Aggregated after clamping at zero — log/hinge losses are never
-    /// negative, and `Stat` is unsigned.
-    pub final_loss_micro: Stat,
-    pub total_msgs: Stat,
-    pub total_bytes: Stat,
-}
-
-impl ModeCaseSummary {
-    fn of(case: ModeCase, runs: Vec<ModeRun>) -> ModeCaseSummary {
-        let pick = |f: fn(&ModeRun) -> u64| Stat::of(runs.iter().map(f).collect());
-        ModeCaseSummary {
-            virtual_ns: pick(|r| r.virtual_ns),
-            final_loss_micro: pick(|r| r.final_loss_micro.max(0) as u64),
-            total_msgs: pick(|r| r.total_msgs),
-            total_bytes: pick(|r| r.total_bytes),
-            case,
-            runs,
-        }
+    /// Mode runs carry no wall measurement, so `BENCH_pr6.json` has no
+    /// `wall_seconds` line and is compared with a plain `cmp`.
+    fn run(&self, seed: u64) -> Result<Run, String> {
+        let gen = preset_gen(&self.preset, self.workers, seed)?;
+        let mode = ConsistencyMode::parse(&self.mode)?;
+        let algo = ModeAlgo::parse(&self.algorithm)?;
+        let mut cfg = ModeConfig::new(gen, self.workers, self.servers, mode);
+        cfg.iterations = self.iters;
+        cfg.learning_rate = 1.0;
+        cfg.seed = seed;
+        // A mild fixed straggler, so the three modes actually differ in pacing
+        // and the curves show the tradeoff the sweep exists to watch.
+        cfg.straggler_slowdown = SimTime::from_millis(20);
+        let (trace, report) = run_mode(&cfg, algo);
+        let curve: Vec<(u64, i64)> = trace
+            .points
+            .iter()
+            .map(|&(s, l)| ((s * 1e9).round() as u64, (l * 1e6).round() as i64))
+            .collect();
+        let mut run = Run::named(
+            &MODES,
+            seed,
+            &[
+                ("virtual_ns", report.virtual_time.as_nanos() as i64),
+                // Mean batch loss of the last iteration.
+                ("final_loss_micro", curve.last().map_or(0, |&(_, l)| l)),
+                ("iterations", report.metrics.counter("ml.iterations") as i64),
+                ("total_msgs", report.total_msgs as i64),
+                ("total_bytes", report.total_bytes as i64),
+            ],
+        );
+        run.curve = curve;
+        Ok(run)
     }
 }
 
-/// A full mode-sweep result — what `BENCH_pr6.json` holds.
-#[derive(Clone, Debug, Default)]
-pub struct ModeBenchReport {
-    pub cases: Vec<ModeCaseSummary>,
-}
+// ---- the serving sweep -------------------------------------------------------
 
-/// Run every mode case under every seed.
-pub fn mode_sweep(cases: &[ModeCase], seeds: &[u64]) -> Result<ModeBenchReport, String> {
-    let mut out = ModeBenchReport::default();
-    for case in cases {
-        let mut runs = Vec::with_capacity(seeds.len());
-        for &seed in seeds {
-            runs.push(run_mode_case(case, seed)?);
-        }
-        out.cases.push(ModeCaseSummary::of(case.clone(), runs));
-    }
-    Ok(out)
-}
+/// Seeds for the serve sweep. Two: each serve case is already 10k–20k
+/// endpoints and a few hundred thousand pulls, and the runs are
+/// deterministic — the second seed exists so one lucky arrival interleaving
+/// cannot hide a tail regression.
+pub const SERVE_SEEDS: &[u64] = &[1, 2];
 
-impl ModeBenchReport {
-    /// Serialize deterministically: cases in sweep order, integers only,
-    /// curves as `[ns, loss_micro]` pairs.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"schema\": \"ps2-bench-modes-v1\",\n  \"cases\": [");
-        for (i, c) in self.cases.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {\n      \"name\": ");
-            render_json_string(&c.case.name, &mut out);
-            out.push_str(", \"preset\": ");
-            render_json_string(&c.case.preset, &mut out);
-            out.push_str(", \"algorithm\": ");
-            render_json_string(&c.case.algorithm, &mut out);
-            out.push_str(", \"mode\": ");
-            render_json_string(&c.case.mode, &mut out);
-            let _ = write!(
-                out,
-                ",\n      \"workers\": {}, \"servers\": {}, \"iters\": {},\n      \"runs\": [",
-                c.case.workers, c.case.servers, c.case.iters
-            );
-            for (j, r) in c.runs.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(
-                    out,
-                    "\n        {{\"seed\": {}, \"virtual_ns\": {}, \"final_loss_micro\": {}, \
-                     \"iterations\": {}, \"total_msgs\": {}, \"total_bytes\": {},\n         \
-                     \"curve\": [",
-                    r.seed,
-                    r.virtual_ns,
-                    r.final_loss_micro,
-                    r.iterations,
-                    r.total_msgs,
-                    r.total_bytes
-                );
-                for (k, &(ns, loss)) in r.curve.iter().enumerate() {
-                    if k > 0 {
-                        out.push_str(", ");
-                    }
-                    let _ = write!(out, "[{ns}, {loss}]");
-                }
-                out.push_str("]}");
-            }
-            out.push_str("\n      ],\n      \"summary\": {");
-            let stat = |out: &mut String, name: &str, s: Stat, last: bool| {
-                let _ = write!(
-                    out,
-                    "\n        \"{name}\": {{\"min\": {}, \"median\": {}, \"max\": {}}}{}",
-                    s.min,
-                    s.median,
-                    s.max,
-                    if last { "" } else { "," }
-                );
-            };
-            stat(&mut out, "virtual_ns", c.virtual_ns, false);
-            stat(&mut out, "final_loss_micro", c.final_loss_micro, false);
-            stat(&mut out, "total_msgs", c.total_msgs, false);
-            stat(&mut out, "total_bytes", c.total_bytes, true);
-            out.push_str("\n      }\n    }");
-        }
-        out.push_str("\n  ]\n}\n");
-        out
+/// A serving case is a serving preset's name.
+impl SweepCase for &str {
+    const SCHEMA: &'static Schema = &SERVE;
+
+    fn attrs(&self) -> (Vec<String>, Vec<u64>) {
+        let endpoints = serve_spec(self).map_or(0, |s| s.endpoints());
+        (vec![self.to_string()], vec![endpoints])
     }
 
-    /// Parse a report written by [`ModeBenchReport::to_json`].
-    pub fn from_json(text: &str) -> Result<ModeBenchReport, String> {
-        let doc = parse_json(text).map_err(|e| e.to_string())?;
-        match doc.get("schema").and_then(JsonValue::as_str) {
-            Some("ps2-bench-modes-v1") => {}
-            other => return Err(format!("unsupported mode-bench schema {other:?}")),
+    /// Fails on an unknown preset or an unhealthy run (unanswered pulls).
+    fn run(&self, seed: u64) -> Result<Run, String> {
+        let spec = serve_spec(self).ok_or_else(|| {
+            format!(
+                "unknown serve preset '{self}' (want {})",
+                SERVE_PRESETS.join("|")
+            )
+        })?;
+        let ((summary, report), wall_ns) = timed(|| run_serve(SimBuilder::new().seed(seed), &spec));
+        if summary.completed != summary.issued {
+            return Err(format!(
+                "serve case {self} seed {seed}: {} of {} pulls unanswered",
+                summary.issued - summary.completed,
+                summary.issued
+            ));
         }
-        let u64_field = |obj: &JsonValue, key: &str| -> Result<u64, String> {
-            obj.get(key)
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| format!("mode bench report: missing/invalid \"{key}\""))
-        };
-        let str_field = |obj: &JsonValue, key: &str| -> Result<String, String> {
-            obj.get(key)
-                .and_then(JsonValue::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("mode bench report: missing/invalid \"{key}\""))
-        };
-        let mut out = ModeBenchReport::default();
-        for c in doc
-            .get("cases")
-            .and_then(JsonValue::as_arr)
-            .ok_or("mode bench report: missing \"cases\"")?
-        {
-            let case = ModeCase {
-                name: str_field(c, "name")?,
-                preset: str_field(c, "preset")?,
-                algorithm: str_field(c, "algorithm")?,
-                mode: str_field(c, "mode")?,
-                workers: u64_field(c, "workers")? as usize,
-                servers: u64_field(c, "servers")? as usize,
-                iters: u64_field(c, "iters")? as u32,
-            };
-            let runs = c
-                .get("runs")
-                .and_then(JsonValue::as_arr)
-                .ok_or("mode bench report: case missing \"runs\"")?
-                .iter()
-                .map(|r| {
-                    let curve = r
-                        .get("curve")
-                        .and_then(JsonValue::as_arr)
-                        .ok_or("mode bench report: run missing \"curve\"")?
-                        .iter()
-                        .map(|p| {
-                            let pair = p
-                                .as_arr()
-                                .filter(|a| a.len() == 2)
-                                .ok_or("mode bench report: curve point is not a pair")?;
-                            Ok((
-                                pair[0]
-                                    .as_u64()
-                                    .ok_or("mode bench report: bad curve time")?,
-                                pair[1]
-                                    .as_i64()
-                                    .ok_or("mode bench report: bad curve loss")?,
-                            ))
-                        })
-                        .collect::<Result<Vec<_>, String>>()?;
-                    Ok(ModeRun {
-                        seed: u64_field(r, "seed")?,
-                        virtual_ns: u64_field(r, "virtual_ns")?,
-                        final_loss_micro: r
-                            .get("final_loss_micro")
-                            .and_then(JsonValue::as_i64)
-                            .ok_or("mode bench report: missing \"final_loss_micro\"")?,
-                        iterations: u64_field(r, "iterations")?,
-                        total_msgs: u64_field(r, "total_msgs")?,
-                        total_bytes: u64_field(r, "total_bytes")?,
-                        curve,
-                    })
-                })
-                .collect::<Result<Vec<_>, String>>()?;
-            if runs.is_empty() {
-                return Err(format!("mode bench report: case {} has no runs", case.name));
-            }
-            // Aggregates are recomputed, not trusted.
-            out.cases.push(ModeCaseSummary::of(case, runs));
-        }
-        Ok(out)
+        let mut run = Run::named(
+            &SERVE,
+            seed,
+            &[
+                // Model load + generation window + reply drain.
+                ("virtual_ns", summary.virtual_ns as i64),
+                ("pulls", summary.completed as i64),
+                ("p99_ns", summary.p99_ns as i64),
+                ("p999_ns", summary.p999_ns as i64),
+                ("total_msgs", report.total_msgs as i64),
+                ("total_bytes", report.total_bytes as i64),
+            ],
+        );
+        run.wall_ns = Some(wall_ns);
+        Ok(run)
     }
-
-    /// Human-readable sweep table: per case, the median makespan and final
-    /// loss — the convergence-vs-virtual-time tradeoff at a glance.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let secs = |ns: u64| ns as f64 / 1e9;
-        out.push_str("case                 virtual median [min..max]   final loss       msgs\n");
-        for c in &self.cases {
-            let _ = writeln!(
-                out,
-                "{:<20} {:>9.4}s [{:.4}..{:.4}] {:>12} {:>10}",
-                c.case.name,
-                secs(c.virtual_ns.median),
-                secs(c.virtual_ns.min),
-                secs(c.virtual_ns.max),
-                c.final_loss_micro.median,
-                c.total_msgs.median
-            );
-        }
-        out
-    }
-}
-
-/// The mode-sweep regression gate: like [`compare`], plus a convergence
-/// check — a candidate whose median *final loss* grew beyond tolerance is a
-/// regression even if it got faster, because trading convergence for speed
-/// is exactly the failure mode a staleness bug produces.
-pub fn compare_modes(
-    base: &ModeBenchReport,
-    cand: &ModeBenchReport,
-    tolerance_milli: u64,
-) -> Vec<String> {
-    let mut out = Vec::new();
-    for b in &base.cases {
-        let Some(c) = cand.cases.iter().find(|c| c.case.name == b.case.name) else {
-            out.push(format!("mode case {} missing from candidate", b.case.name));
-            continue;
-        };
-        let mut check = |metric: &str, a: Stat, v: Stat| {
-            if exceeds(a.median, v.median, tolerance_milli) {
-                let pct = if a.median == 0 {
-                    f64::INFINITY
-                } else {
-                    100.0 * (v.median as f64 - a.median as f64) / a.median as f64
-                };
-                out.push(format!(
-                    "{} {metric}: median {} -> {} (+{pct:.1}%, tolerance {:.1}%)",
-                    b.case.name,
-                    a.median,
-                    v.median,
-                    tolerance_milli as f64 / 10.0
-                ));
-            }
-        };
-        check("virtual_ns", b.virtual_ns, c.virtual_ns);
-        check("final_loss_micro", b.final_loss_micro, c.final_loss_micro);
-        check("total_msgs", b.total_msgs, c.total_msgs);
-        check("total_bytes", b.total_bytes, c.total_bytes);
-    }
-    out
 }
 
 // ---- the host-side (wall-clock) sidecar -------------------------------------
@@ -1382,41 +1085,36 @@ pub const HOST_TOP_N: usize = 16;
 /// returns the usual virtual-time report **plus** the host sidecar. The
 /// virtual report is byte-identical to an unprofiled sweep's — CI compares
 /// exactly that.
-pub fn sweep_with_host(
-    cases: &[BenchCase],
-    seeds: &[u64],
-) -> Result<(BenchReport, HostReport), String> {
+pub fn sweep_with_host(cases: &[BenchCase], seeds: &[u64]) -> Result<(Report, HostReport), String> {
     hostprof::set_enabled(true);
     hostprof::set_alloc_counting(true);
-    let result = (|| {
-        let mut bench = BenchReport::default();
-        let mut host = HostReport {
-            alloc_counted: true,
-            cases: Vec::new(),
-        };
-        for case in cases {
-            let mut runs = Vec::with_capacity(seeds.len());
-            let mut profiles = Vec::with_capacity(seeds.len());
-            for &seed in seeds {
-                let (run, profile) = run_case_profiled(case, seed, true)?;
-                runs.push(run);
-                profiles.push(profile.ok_or_else(|| {
-                    format!(
-                        "case {} seed {seed}: profiled run returned no host profile",
-                        case.name
-                    )
-                })?);
-            }
-            bench.cases.push(CaseSummary::of(case.clone(), runs));
-            let mut hc = HostCase::of(case.name.clone(), &profiles);
-            hc.scopes.truncate(HOST_TOP_N);
-            host.cases.push(hc);
-        }
-        Ok((bench, host))
-    })();
+    let mut profiles = Vec::new();
+    let bench = sweep_by(cases, seeds, |case, seed| {
+        let (run, profile) = case.run_profiled(seed, true)?;
+        profiles.push(profile.ok_or_else(|| {
+            format!(
+                "case {} seed {seed}: profiled run returned no host profile",
+                case.name
+            )
+        })?);
+        Ok(run)
+    });
     hostprof::set_alloc_counting(false);
     hostprof::set_enabled(false);
-    result
+    let bench = bench?;
+    let host = HostReport {
+        alloc_counted: true,
+        cases: cases
+            .iter()
+            .zip(profiles.chunks(seeds.len()))
+            .map(|(case, p)| {
+                let mut hc = HostCase::of(case.name.clone(), p);
+                hc.scopes.truncate(HOST_TOP_N);
+                hc
+            })
+            .collect(),
+    };
+    Ok((bench, host))
 }
 
 impl HostReport {
@@ -1618,27 +1316,34 @@ pub fn compare_host(base: &HostReport, cand: &HostReport, tolerance_milli: u64) 
 mod tests {
     use super::*;
 
-    fn summary(name: &str, virtual_ns: u64) -> CaseSummary {
-        let case = BenchCase {
-            name: name.to_string(),
-            preset: "kddb".to_string(),
-            algorithm: "lr".to_string(),
-            workers: 4,
-            servers: 4,
-            iters: 4,
-        };
-        let runs = vec![CaseRun {
-            seed: 1,
-            virtual_ns,
-            setup_ns: virtual_ns / 4,
-            train_ns: virtual_ns - virtual_ns / 4,
-            iterations: 4,
-            total_msgs: 100,
-            total_bytes: 1_000,
-            // Whole microseconds, so the %.6f wall_seconds line round-trips.
-            wall_ns: 42_000_000,
-        }];
-        CaseSummary::of(case, runs)
+    fn report(schema: &'static Schema, cases: Vec<Case>) -> Report {
+        Report { schema, cases }
+    }
+
+    fn summary(name: &str, virtual_ns: i64) -> Case {
+        let mut run = Run::named(
+            &TRAIN,
+            1,
+            &[
+                ("virtual_ns", virtual_ns),
+                ("setup_ns", virtual_ns / 4),
+                ("train_ns", virtual_ns - virtual_ns / 4),
+                ("iterations", 4),
+                ("total_msgs", 100),
+                ("total_bytes", 1_000),
+            ],
+        );
+        // Whole microseconds, so the %.6f wall_seconds line round-trips.
+        run.wall_ns = Some(42_000_000);
+        Case {
+            strings: vec![name.to_string(), "kddb".to_string(), "lr".to_string()],
+            ints: vec![4, 4, 4],
+            runs: vec![run],
+        }
+    }
+
+    fn train(cases: Vec<Case>) -> Report {
+        report(&TRAIN, cases)
     }
 
     #[test]
@@ -1662,63 +1367,128 @@ mod tests {
     }
 
     #[test]
+    fn summary_stats_clamp_negative_values_at_zero() {
+        let mut case = mode_summary("kddb-lr-bsp", "bsp", 1_000, -5);
+        case.runs.push(mode_run(2, 1_000, 7));
+        let loss = MODES.field("final_loss_micro");
+        assert_eq!(
+            case.stat(loss),
+            Stat {
+                min: 0,
+                median: 3,
+                max: 7
+            }
+        );
+        // The run row itself keeps the signed value.
+        let text = report(&MODES, vec![case]).to_json();
+        assert!(text.contains("\"final_loss_micro\": -5,"), "{text}");
+    }
+
+    #[test]
+    fn schemas_are_self_consistent_and_adapters_fill_them() {
+        for (i, s) in SCHEMAS.iter().enumerate() {
+            assert!(!s.strings.is_empty(), "{}: needs a case key", s.id);
+            for f in s.summary {
+                s.field(f);
+            }
+            for f in s.exact {
+                assert!(s.summary.contains(f), "{}: exact {f} not summarized", s.id);
+            }
+            assert!(SCHEMAS[..i].iter().all(|o| o.id != s.id), "duplicate id");
+        }
+        let shape = |(strings, ints): (Vec<String>, Vec<u64>), s: &Schema| {
+            assert_eq!((strings.len(), ints.len()), (s.strings.len(), s.ints.len()));
+        };
+        shape(small_cases(4, 4, 4)[0].attrs(), &TRAIN);
+        shape(mode_cases(4, 3, 6)[0].attrs(), &MODES);
+        shape(SERVE_PRESETS[0].attrs(), &SERVE);
+        assert_eq!(SERVE_PRESETS[0].attrs().1, vec![10_000]);
+    }
+
+    /// Parse each committed baseline, render it again, and require the
+    /// original bytes back (modulo the host-noise `wall_seconds` lines) —
+    /// the determinism CI checks after full sweeps, minus the sweeps.
+    #[test]
+    fn committed_baselines_rerender_byte_for_byte() {
+        let strip = |text: &str| -> String {
+            text.lines()
+                .filter(|l| !l.contains("\"wall_seconds\""))
+                .map(|l| format!("{l}\n"))
+                .collect()
+        };
+        let files = [
+            ("BENCH_pr5.json", include_str!("../BENCH_pr5.json"), &TRAIN),
+            ("BENCH_pr6.json", include_str!("../BENCH_pr6.json"), &MODES),
+            ("BENCH_pr9.json", include_str!("../BENCH_pr9.json"), &SERVE),
+        ];
+        for (name, text, schema) in files {
+            let parsed = Report::from_json(text).unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(parsed.schema, schema, "{name}");
+            assert!(!parsed.cases.is_empty(), "{name}");
+            assert_eq!(strip(&parsed.to_json()), strip(text), "{name} re-rendered");
+            assert_eq!(compare(&parsed, &parsed, 0), Ok(vec![]), "{name} self-gate");
+        }
+        // The mode baseline has no wall line to strip: it is exact as is.
+        let modes = include_str!("../BENCH_pr6.json");
+        assert_eq!(Report::from_json(modes).unwrap().to_json(), modes);
+    }
+
+    #[test]
     fn gate_passes_within_tolerance_and_fails_beyond() {
-        let base = BenchReport {
-            cases: vec![summary("kddb-lr", 1_000_000)],
-        };
-        let ok = BenchReport {
-            cases: vec![summary("kddb-lr", 1_049_000)],
-        };
-        let bad = BenchReport {
-            cases: vec![summary("kddb-lr", 1_051_000)],
-        };
-        assert!(compare(&base, &ok, 50).is_empty());
-        let v = compare(&base, &bad, 50);
+        let base = train(vec![summary("kddb-lr", 1_000_000)]);
+        let ok = train(vec![summary("kddb-lr", 1_049_000)]);
+        let bad = train(vec![summary("kddb-lr", 1_051_000)]);
+        assert!(compare(&base, &ok, 50).unwrap().is_empty());
+        let v = compare(&base, &bad, 50).unwrap();
         assert!(!v.is_empty(), "5.1% over a 5% gate must fail");
         assert!(v[0].contains("virtual_ns"), "got: {}", v[0]);
     }
 
     #[test]
     fn gate_flags_missing_cases_but_not_improvements() {
-        let base = BenchReport {
-            cases: vec![summary("kddb-lr", 1_000_000), summary("kdd12-lr", 500_000)],
-        };
-        let cand = BenchReport {
-            cases: vec![summary("kddb-lr", 900_000)],
-        };
-        let v = compare(&base, &cand, 50);
+        let base = train(vec![
+            summary("kddb-lr", 1_000_000),
+            summary("kdd12-lr", 500_000),
+        ]);
+        let cand = train(vec![summary("kddb-lr", 900_000)]);
+        let v = compare(&base, &cand, 50).unwrap();
         assert_eq!(v.len(), 1, "got: {v:?}");
         assert!(v[0].contains("kdd12-lr missing"), "got: {}", v[0]);
     }
 
     #[test]
+    fn gate_rejects_a_schema_mismatch() {
+        let base = train(vec![summary("kddb-lr", 1_000_000)]);
+        let cand = report(&SERVE, vec![serve_summary("serve-kddb", 210_000, 200_000)]);
+        let err = compare(&base, &cand, 50).unwrap_err();
+        assert!(err.contains("schema mismatch"), "{err}");
+        // Even two empty reports of different kinds never pass.
+        assert!(compare(&report(&MODES, vec![]), &train(vec![]), 50).is_err());
+    }
+
+    #[test]
     fn json_round_trip_preserves_runs_and_aggregates() {
-        let report = BenchReport {
-            cases: vec![summary("kddb-lr", 1_000_000), summary("kdd12-lbfgs", 123)],
-        };
-        let parsed = BenchReport::from_json(&report.to_json()).unwrap();
-        assert_eq!(parsed.cases.len(), 2);
-        for (a, b) in report.cases.iter().zip(&parsed.cases) {
-            assert_eq!(a.case.name, b.case.name);
-            assert_eq!(a.runs, b.runs);
-            assert_eq!(a.virtual_ns, b.virtual_ns);
-            assert_eq!(a.total_bytes, b.total_bytes);
-        }
+        let report = train(vec![
+            summary("kddb-lr", 1_000_000),
+            summary("kdd12-lbfgs", 123),
+        ]);
+        let parsed = Report::from_json(&report.to_json()).unwrap();
+        assert_eq!(parsed.schema, &TRAIN);
+        assert_eq!(parsed.cases, report.cases);
         // Serialization itself is stable.
         assert_eq!(report.to_json(), parsed.to_json());
     }
 
     #[test]
     fn from_json_rejects_wrong_schema() {
-        assert!(BenchReport::from_json(r#"{"schema": "nope", "cases": []}"#).is_err());
-        assert!(BenchReport::from_json("[]").is_err());
+        assert!(Report::from_json(r#"{"schema": "nope", "cases": []}"#).is_err());
+        assert!(Report::from_json(r#"{"schema": "ps2-hostprof-v1", "cases": []}"#).is_err());
+        assert!(Report::from_json("[]").is_err());
     }
 
     #[test]
     fn wall_seconds_lives_on_its_own_strippable_line() {
-        let report = BenchReport {
-            cases: vec![summary("kddb-lr", 1_000_000)],
-        };
+        let report = train(vec![summary("kddb-lr", 1_000_000)]);
         let text = report.to_json();
         let wall_lines: Vec<&str> = text
             .lines()
@@ -1731,83 +1501,86 @@ mod tests {
             .filter(|l| !l.contains("\"wall_seconds\""))
             .map(|l| format!("{l}\n"))
             .collect();
-        let parsed = BenchReport::from_json(&stripped).unwrap();
-        assert_eq!(parsed.cases[0].runs[0].wall_ns, 0, "stripped wall reads 0");
-        assert_eq!(parsed.cases[0].virtual_ns, report.cases[0].virtual_ns);
+        let parsed = Report::from_json(&stripped).unwrap();
+        assert_eq!(
+            parsed.cases[0].runs[0].wall_ns, None,
+            "stripped wall reads as none"
+        );
+        assert_eq!(parsed.cases[0].wall(), None);
+        assert_eq!(parsed.cases[0].stat(0), report.cases[0].stat(0));
+        // ...and renders back without the line.
+        assert_eq!(parsed.to_json(), stripped);
     }
 
     #[test]
     fn wall_gate_is_soft_until_4x() {
-        let base = BenchReport {
-            cases: vec![summary("kddb-lr", 1_000_000)],
-        };
+        let base = train(vec![summary("kddb-lr", 1_000_000)]);
         let mut slow = base.clone();
         // 3.9x the baseline wall: host noise, not a violation.
-        slow.cases[0].wall_ns.median = base.cases[0].wall_ns.median * 39 / 10;
-        assert!(compare(&base, &slow, 50).is_empty());
-        slow.cases[0].wall_ns.median = base.cases[0].wall_ns.median * 5;
-        let v = compare(&base, &slow, 50);
+        slow.cases[0].runs[0].wall_ns = Some(42_000_000 * 39 / 10);
+        assert!(compare(&base, &slow, 50).unwrap().is_empty());
+        slow.cases[0].runs[0].wall_ns = Some(42_000_000 * 5);
+        let v = compare(&base, &slow, 50).unwrap();
         assert_eq!(v.len(), 1, "got: {v:?}");
         assert!(v[0].contains("wall_ns"), "got: {}", v[0]);
+        // A side without a wall measurement disables the check.
+        slow.cases[0].runs[0].wall_ns = None;
+        assert!(compare(&base, &slow, 50).unwrap().is_empty());
     }
 
-    fn serve_summary(preset: &str, p99: u64, pulls: u64) -> ServeCaseSummary {
-        let runs = vec![ServeCaseRun {
-            seed: 1,
-            virtual_ns: 400_000_000,
-            pulls,
-            p99_ns: p99,
-            p999_ns: p99 * 2,
-            total_msgs: 2 * pulls,
-            total_bytes: 600 * pulls,
-            wall_ns: 1_500_000_000,
-        }];
-        ServeCaseSummary::of(preset.to_string(), 10_000, runs)
+    fn serve_summary(preset: &str, p99: i64, pulls: i64) -> Case {
+        let mut run = Run::named(
+            &SERVE,
+            1,
+            &[
+                ("virtual_ns", 400_000_000),
+                ("pulls", pulls),
+                ("p99_ns", p99),
+                ("p999_ns", p99 * 2),
+                ("total_msgs", 2 * pulls),
+                ("total_bytes", 600 * pulls),
+            ],
+        );
+        run.wall_ns = Some(1_500_000_000);
+        Case {
+            strings: vec![preset.to_string()],
+            ints: vec![10_000],
+            runs: vec![run],
+        }
     }
 
     #[test]
     fn serve_json_round_trip_preserves_runs() {
-        let report = ServeBenchReport {
-            cases: vec![
+        let report = report(
+            &SERVE,
+            vec![
                 serve_summary("serve-kddb", 210_000, 200_000),
                 serve_summary("serve-kdd12", 220_000, 320_000),
             ],
-        };
-        let parsed = ServeBenchReport::from_json(&report.to_json()).unwrap();
-        assert_eq!(parsed.cases.len(), 2);
-        for (a, b) in report.cases.iter().zip(&parsed.cases) {
-            assert_eq!(a.preset, b.preset);
-            assert_eq!(a.endpoints, b.endpoints);
-            assert_eq!(a.runs, b.runs);
-            assert_eq!(a.p99_ns, b.p99_ns);
-        }
+        );
+        let parsed = Report::from_json(&report.to_json()).unwrap();
+        assert_eq!(parsed.schema, &SERVE);
+        assert_eq!(parsed.cases, report.cases);
         assert_eq!(report.to_json(), parsed.to_json());
     }
 
     #[test]
     fn serve_gate_flags_tail_regressions_and_pull_count_changes() {
-        let base = ServeBenchReport {
-            cases: vec![serve_summary("serve-kddb", 210_000, 200_000)],
-        };
+        let serve = |case| report(&SERVE, vec![case]);
+        let base = serve(serve_summary("serve-kddb", 210_000, 200_000));
         // Within tolerance: clean.
-        let ok = ServeBenchReport {
-            cases: vec![serve_summary("serve-kddb", 215_000, 200_000)],
-        };
-        assert!(compare_serve(&base, &ok, 50).is_empty());
+        let ok = serve(serve_summary("serve-kddb", 215_000, 200_000));
+        assert!(compare(&base, &ok, 50).unwrap().is_empty());
         // p999 regression past tolerance: flagged.
-        let slow = ServeBenchReport {
-            cases: vec![serve_summary("serve-kddb", 260_000, 200_000)],
-        };
-        let v = compare_serve(&base, &slow, 50);
+        let slow = serve(serve_summary("serve-kddb", 260_000, 200_000));
+        let v = compare(&base, &slow, 50).unwrap();
         assert!(v.iter().any(|l| l.contains("p99")), "got: {v:?}");
         // Any change in the open-loop pull count: flagged even if "better".
-        let fewer = ServeBenchReport {
-            cases: vec![serve_summary("serve-kddb", 210_000, 199_999)],
-        };
-        let v = compare_serve(&base, &fewer, 50);
+        let fewer = serve(serve_summary("serve-kddb", 210_000, 199_999));
+        let v = compare(&base, &fewer, 50).unwrap();
         assert!(v.iter().any(|l| l.contains("pulls")), "got: {v:?}");
         // Missing case: coverage must not shrink.
-        let v = compare_serve(&base, &ServeBenchReport::default(), 50);
+        let v = compare(&base, &report(&SERVE, vec![]), 50).unwrap();
         assert_eq!(v.len(), 1);
         assert!(v[0].contains("missing"));
     }
@@ -1823,26 +1596,28 @@ mod tests {
         }
     }
 
-    fn mode_summary(name: &str, mode: &str, virtual_ns: u64, loss: i64) -> ModeCaseSummary {
-        let case = ModeCase {
-            name: name.to_string(),
-            preset: "kddb".to_string(),
-            algorithm: "lr".to_string(),
-            mode: mode.to_string(),
-            workers: 4,
-            servers: 3,
-            iters: 6,
-        };
-        let runs = vec![ModeRun {
-            seed: 1,
-            virtual_ns,
-            final_loss_micro: loss,
-            iterations: 24,
-            total_msgs: 200,
-            total_bytes: 4_000,
-            curve: vec![(virtual_ns / 2, loss * 2), (virtual_ns, loss)],
-        }];
-        ModeCaseSummary::of(case, runs)
+    fn mode_run(seed: u64, virtual_ns: i64, loss: i64) -> Run {
+        let mut run = Run::named(
+            &MODES,
+            seed,
+            &[
+                ("virtual_ns", virtual_ns),
+                ("final_loss_micro", loss),
+                ("iterations", 24),
+                ("total_msgs", 200),
+                ("total_bytes", 4_000),
+            ],
+        );
+        run.curve = vec![(virtual_ns as u64 / 2, loss * 2), (virtual_ns as u64, loss)];
+        run
+    }
+
+    fn mode_summary(name: &str, mode: &str, virtual_ns: i64, loss: i64) -> Case {
+        Case {
+            strings: [name, "kddb", "lr", mode].map(str::to_string).to_vec(),
+            ints: vec![4, 3, 6],
+            runs: vec![mode_run(1, virtual_ns, loss)],
+        }
     }
 
     #[test]
@@ -1861,43 +1636,39 @@ mod tests {
 
     #[test]
     fn mode_json_round_trip_preserves_curves() {
-        let report = ModeBenchReport {
-            cases: vec![
+        let report = report(
+            &MODES,
+            vec![
                 mode_summary("kddb-lr-bsp", "bsp", 1_000_000, 650_000),
                 mode_summary("kddb-lr-ssp2", "ssp:2", 700_000, 655_000),
             ],
-        };
-        let parsed = ModeBenchReport::from_json(&report.to_json()).unwrap();
-        assert_eq!(parsed.cases.len(), 2);
-        for (a, b) in report.cases.iter().zip(&parsed.cases) {
-            assert_eq!(a.case.name, b.case.name);
-            assert_eq!(a.case.mode, b.case.mode);
-            assert_eq!(a.runs, b.runs);
-            assert_eq!(a.virtual_ns, b.virtual_ns);
-            assert_eq!(a.final_loss_micro, b.final_loss_micro);
-        }
-        assert_eq!(report.to_json(), parsed.to_json());
+        );
+        let text = report.to_json();
+        assert!(
+            !text.contains("wall_seconds"),
+            "mode runs carry no wall time"
+        );
+        let parsed = Report::from_json(&text).unwrap();
+        assert_eq!(parsed.schema, &MODES);
+        assert_eq!(parsed.cases, report.cases);
+        assert_eq!(parsed.cases[1].runs[0].curve.len(), 2);
+        assert_eq!(text, parsed.to_json());
     }
 
     #[test]
     fn mode_gate_flags_convergence_regressions() {
-        let base = ModeBenchReport {
-            cases: vec![mode_summary("kddb-lr-async", "async", 1_000_000, 600_000)],
-        };
+        let modes = |case| report(&MODES, vec![case]);
+        let base = modes(mode_summary("kddb-lr-async", "async", 1_000_000, 600_000));
         // Faster but converging visibly worse: still a violation.
-        let worse_loss = ModeBenchReport {
-            cases: vec![mode_summary("kddb-lr-async", "async", 800_000, 700_000)],
-        };
-        let v = compare_modes(&base, &worse_loss, 50);
+        let worse_loss = modes(mode_summary("kddb-lr-async", "async", 800_000, 700_000));
+        let v = compare(&base, &worse_loss, 50).unwrap();
         assert_eq!(v.len(), 1, "got: {v:?}");
         assert!(v[0].contains("final_loss_micro"), "got: {}", v[0]);
         // Within tolerance on every axis: clean.
-        let ok = ModeBenchReport {
-            cases: vec![mode_summary("kddb-lr-async", "async", 1_020_000, 610_000)],
-        };
-        assert!(compare_modes(&base, &ok, 50).is_empty());
+        let ok = modes(mode_summary("kddb-lr-async", "async", 1_020_000, 610_000));
+        assert!(compare(&base, &ok, 50).unwrap().is_empty());
         // Missing case: coverage must not shrink.
-        let v = compare_modes(&base, &ModeBenchReport::default(), 50);
+        let v = compare(&base, &report(&MODES, vec![]), 50).unwrap();
         assert_eq!(v.len(), 1);
         assert!(v[0].contains("missing"));
     }

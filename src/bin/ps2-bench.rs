@@ -14,7 +14,8 @@
 //!     writes the combined ps2-slo-sweep-v1 sidecar
 //!
 //! ps2-bench diff <BASE> <CAND> [--tolerance FRAC] [--gate]
-//!     compare two report files; with --gate, exit 1 when any median
+//!     compare two report files of the same sweep kind (training, modes or
+//!     serving; a mismatch exits 2); with --gate, exit 1 when any median
 //!     regressed beyond FRAC (default 0.05 = 5%)
 //!
 //! ps2-bench --gate <BASE> [--tolerance FRAC] [--out PATH] [flags as sweep]
@@ -37,18 +38,19 @@
 //!     exit 1 on regression
 //! ```
 //!
-//! All numbers in the main reports are virtual-time integers from the
-//! simulator, so they are byte-identical across runs and hosts; the gate
-//! detects modeled-cost changes, never host noise. Wall-clock lives only in
-//! the `--host-out` sidecar, which gets its own soft gate (`ps2-trace host
-//! diff`) with a deliberately loose tolerance.
+//! Every sweep kind writes, reads and gates through the one report engine
+//! in `ps2::bench`. All numbers in the main reports are virtual-time
+//! integers from the simulator, so they are byte-identical across runs and
+//! hosts; the gate detects modeled-cost changes, never host noise. The
+//! exceptions are the strippable per-case `wall_seconds` line (soft 4×
+//! gate) and the `--host-out` sidecar, which gets its own soft gate
+//! (`ps2-trace host diff`) with a deliberately loose tolerance.
 
 use std::process::exit;
 
 use ps2::bench::{
-    compare, compare_modes, compare_serve, mode_cases, mode_sweep, serve_sweep, slo_sweep,
-    small_cases, sweep, sweep_with_host, BenchReport, HostReport, ModeBenchReport,
-    ServeBenchReport, DEFAULT_SEEDS, MODE_SEEDS, SERVE_SEEDS,
+    compare, mode_cases, slo_sweep, small_cases, sweep, sweep_with_host, Report, SweepCase,
+    DEFAULT_SEEDS, MODE_SEEDS, SERVE_SEEDS,
 };
 use ps2::ml::serve::SERVE_PRESETS;
 
@@ -79,8 +81,9 @@ impl Flags {
                 die(&format!("unexpected argument '{}'", argv[i]));
             };
             if name == "gate" {
-                // Bare flag in diff mode; carries a baseline path in modes
-                // mode. Disambiguate by whether the next token is a flag.
+                // Bare flag in diff mode; carries a baseline path in the
+                // modes and serve sweeps. Disambiguate by whether the next
+                // token is a flag.
                 match argv.get(i + 1).filter(|v| !v.starts_with("--")) {
                     Some(v) => {
                         out.push((name.to_string(), v.clone()));
@@ -128,22 +131,17 @@ fn tolerance_milli(flags: &Flags) -> u64 {
     (frac * 1000.0).round() as u64
 }
 
-fn load(path: &str) -> BenchReport {
+/// Read a report of any sweep kind.
+fn load(path: &str) -> Report {
     let text =
         std::fs::read_to_string(path).unwrap_or_else(|e| die(&format!("cannot read {path}: {e}")));
-    BenchReport::from_json(&text).unwrap_or_else(|e| die(&format!("{path}: {e}")))
+    Report::from_json(&text).unwrap_or_else(|e| die(&format!("{path}: {e}")))
 }
 
-/// Run the small-case grid. When `--host-out` is present the sweep runs
-/// with the host profiler (and counting allocator) enabled and returns the
-/// wall-clock sidecar too — the virtual-time `BenchReport` is byte-identical
-/// either way, which CI verifies by `cmp`-ing it against the baseline.
-fn run_sweep(flags: &Flags) -> (BenchReport, Option<HostReport>) {
-    let workers = flags.get_num("workers", 4usize);
-    let servers = flags.get_num("servers", 4usize);
-    let iters = flags.get_num("iters", 4usize);
-    let seeds: Vec<u64> = match flags.get("seeds") {
-        None => DEFAULT_SEEDS.to_vec(),
+/// `--seeds a,b,c`, or the sweep kind's default seeds.
+fn seeds(flags: &Flags, default: &[u64]) -> Vec<u64> {
+    match flags.get("seeds") {
+        None => default.to_vec(),
         Some(list) => list
             .split(',')
             .map(|s| {
@@ -152,88 +150,86 @@ fn run_sweep(flags: &Flags) -> (BenchReport, Option<HostReport>) {
                     .unwrap_or_else(|_| die(&format!("bad seed '{s}' in --seeds")))
             })
             .collect(),
-    };
-    if seeds.is_empty() {
-        die("--seeds needs at least one seed");
-    }
-    let cases = small_cases(workers, servers, iters);
-    eprintln!(
-        "sweeping {} cases x {} seeds ({} workers, {} servers, {} iters)...",
-        cases.len(),
-        seeds.len(),
-        workers,
-        servers,
-        iters
-    );
-    if flags.get("host-out").is_some() {
-        let (report, host) = sweep_with_host(&cases, &seeds).unwrap_or_else(|e| die(&e));
-        (report, Some(host))
-    } else {
-        (sweep(&cases, &seeds).unwrap_or_else(|e| die(&e)), None)
     }
 }
 
-/// Write and echo the `--host-out` sidecar, if one was collected.
-fn write_host_out(flags: &Flags, host: &Option<HostReport>) {
-    let (Some(path), Some(host)) = (flags.get("host-out"), host.as_ref()) else {
-        return;
-    };
-    std::fs::write(path, host.to_json())
-        .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
-    print!("{}", host.render());
-    println!("host sidecar written to {path}");
+/// Sweep `cases` under `seeds` through the shared engine.
+fn run<C: SweepCase>(cases: &[C], seeds: &[u64]) -> Report {
+    eprintln!("sweeping {} cases x {} seeds...", cases.len(), seeds.len());
+    sweep(cases, seeds).unwrap_or_else(|e| die(&e))
 }
 
-/// With `--slo-out PATH`: re-run every case under the first seed with
-/// request tracing on, print each case's per-op p999 headline, and write the
-/// combined `ps2-slo-sweep-v1` document. Request tracing is non-yielding, so
-/// these runs reproduce the sweep's virtual times exactly.
-fn write_slo_out(flags: &Flags, workers: usize, servers: usize, iters: usize, seed: u64) {
-    let Some(path) = flags.get("slo-out") else {
-        return;
-    };
-    let cases = small_cases(workers, servers, iters);
-    let (runs, doc) = slo_sweep(&cases, seed).unwrap_or_else(|e| die(&e));
-    for r in &runs {
-        let ops: Vec<String> = r
-            .p999_by_op
-            .iter()
-            .map(|(op, ns)| format!("{op} p999 {}.{:03}us", ns / 1_000, ns % 1_000))
-            .collect();
-        println!(
-            "slo {} seed {}: {}  burn alerts {}",
-            r.name,
-            r.seed,
-            ops.join("  "),
-            r.burn_alerts
-        );
-    }
-    std::fs::write(path, doc).unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
-    println!("slo sidecar written to {path}");
-}
-
-/// The first `--seeds` entry, or the default grid's first seed.
-fn first_seed(flags: &Flags) -> u64 {
-    match flags.get("seeds") {
-        None => DEFAULT_SEEDS[0],
-        Some(list) => list
-            .split(',')
-            .next()
-            .and_then(|s| s.trim().parse().ok())
-            .unwrap_or_else(|| die("bad --seeds list")),
+/// Write a file named by a flag, if the flag is present.
+fn write_flag(flags: &Flags, name: &str, what: &str, text: &str) {
+    if let Some(path) = flags.get(name) {
+        std::fs::write(path, text).unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
+        println!("{what} written to {path}");
     }
 }
 
-fn gate(base: &BenchReport, cand: &BenchReport, tol_milli: u64) -> ! {
-    let violations = compare(base, cand, tol_milli);
+/// Compare against a baseline. Regressions print one line each and, when
+/// `hard`, exit 1; a schema mismatch always exits 2.
+fn gate(base: &Report, cand: &Report, flags: &Flags, hard: bool) {
+    let tol = tolerance_milli(flags);
+    let violations = compare(base, cand, tol).unwrap_or_else(|e| die(&e));
     if violations.is_empty() {
-        println!("gate passed ({:.1}% tolerance)", tol_milli as f64 / 10.0);
-        exit(0);
+        println!("gate passed ({:.1}% tolerance)", tol as f64 / 10.0);
+        return;
     }
     for v in &violations {
         eprintln!("REGRESSION {v}");
     }
-    exit(1)
+    if hard {
+        exit(1);
+    }
+}
+
+/// The training sweep plus its sidecars. With `--host-out` the sweep runs
+/// with the host profiler (and counting allocator) on and also writes the
+/// wall-clock sidecar — the virtual-time report is byte-identical either
+/// way, which CI verifies by `cmp`-ing it against the baseline. With
+/// `--slo-out` every case re-runs under the first seed with request tracing
+/// on (non-yielding, so the virtual times are the sweep's), prints its
+/// per-op p999 headline, and the combined `ps2-slo-sweep-v1` document is
+/// written.
+fn train_sweep(flags: &Flags, seeds: &[u64]) -> Report {
+    let cases = small_cases(
+        flags.get_num("workers", 4usize),
+        flags.get_num("servers", 4usize),
+        flags.get_num("iters", 4usize),
+    );
+    let report = if flags.get("host-out").is_some() {
+        eprintln!(
+            "sweeping {} cases x {} seeds under the host profiler...",
+            cases.len(),
+            seeds.len()
+        );
+        let (report, host) = sweep_with_host(&cases, seeds).unwrap_or_else(|e| die(&e));
+        write_flag(flags, "host-out", "host sidecar", &host.to_json());
+        print!("{}", host.render());
+        report
+    } else {
+        run(&cases, seeds)
+    };
+    if flags.get("slo-out").is_some() {
+        let (runs, doc) = slo_sweep(&cases, seeds[0]).unwrap_or_else(|e| die(&e));
+        for r in &runs {
+            let ops: Vec<String> = r
+                .p999_by_op
+                .iter()
+                .map(|(op, ns)| format!("{op} p999 {}.{:03}us", ns / 1_000, ns % 1_000))
+                .collect();
+            println!(
+                "slo {} seed {}: {}  burn alerts {}",
+                r.name,
+                r.seed,
+                ops.join("  "),
+                r.burn_alerts
+            );
+        }
+        write_flag(flags, "slo-out", "slo sidecar", &doc);
+    }
+    report
 }
 
 fn main() {
@@ -241,175 +237,51 @@ fn main() {
     let Some((cmd, rest)) = argv.split_first() else {
         usage();
     };
-    match cmd.as_str() {
-        "sweep" => {
-            let flags = Flags::parse(rest);
-            let (report, host) = run_sweep(&flags);
-            print!("{}", report.render());
-            if let Some(path) = flags.get("out") {
-                std::fs::write(path, report.to_json())
-                    .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
-                println!("report written to {path}");
-            }
-            write_host_out(&flags, &host);
-            write_slo_out(
-                &flags,
-                flags.get_num("workers", 4usize),
-                flags.get_num("servers", 4usize),
-                flags.get_num("iters", 4usize),
-                first_seed(&flags),
-            );
-        }
-        "diff" => {
-            let Some((base_path, rest)) = rest.split_first() else {
-                usage();
-            };
-            let Some((cand_path, rest)) = rest.split_first() else {
-                usage();
-            };
-            let flags = Flags::parse(rest);
-            let base = load(base_path);
-            let cand = load(cand_path);
-            let tol = tolerance_milli(&flags);
-            let violations = compare(&base, &cand, tol);
-            println!("baseline:  {base_path}\ncandidate: {cand_path}");
-            print!("{}", cand.render());
-            if violations.is_empty() {
-                println!("within tolerance ({:.1}%)", tol as f64 / 10.0);
-            } else {
-                for v in &violations {
-                    eprintln!("REGRESSION {v}");
-                }
-                if flags.get("gate").is_some() {
-                    exit(1);
-                }
-            }
-        }
+    if cmd == "diff" {
+        let [base_path, cand_path, rest @ ..] = rest else {
+            usage();
+        };
+        let flags = Flags::parse(rest);
+        let (base, cand) = (load(base_path), load(cand_path));
+        println!("baseline:  {base_path}\ncandidate: {cand_path}");
+        print!("{}", cand.render());
+        gate(&base, &cand, &flags, flags.get("gate").is_some());
+        return;
+    }
+    // `ps2-bench --gate BASE [flags]` is the training sweep with a
+    // positional baseline; the other sweeps take `--gate BASE` as a flag.
+    let (cmd, base_path, rest) = match (cmd.as_str(), rest) {
+        ("--gate", [base, rest @ ..]) => ("sweep", Some(base.as_str()), rest),
+        ("--gate", []) => usage(),
+        (cmd, rest) => (cmd, None, rest),
+    };
+    let flags = Flags::parse(rest);
+    // Load the baseline first, so a bad path fails before the sweep.
+    let base = base_path
+        .or(flags.get("gate").filter(|p| !p.is_empty()))
+        .map(load);
+    let cand = match cmd {
+        "sweep" => train_sweep(&flags, &seeds(&flags, DEFAULT_SEEDS)),
         "modes" => {
-            let flags = Flags::parse(rest);
-            let workers = flags.get_num("workers", 4usize);
-            let servers = flags.get_num("servers", 3usize);
-            let iters = flags.get_num("iters", 6u32);
-            let seeds: Vec<u64> = match flags.get("seeds") {
-                None => MODE_SEEDS.to_vec(),
-                Some(list) => list
-                    .split(',')
-                    .map(|s| {
-                        s.trim()
-                            .parse()
-                            .unwrap_or_else(|_| die(&format!("bad seed '{s}' in --seeds")))
-                    })
-                    .collect(),
-            };
-            if seeds.is_empty() {
-                die("--seeds needs at least one seed");
-            }
-            let cases = mode_cases(workers, servers, iters);
-            eprintln!(
-                "sweeping {} mode cases x {} seeds ({} workers, {} servers, {} iters)...",
-                cases.len(),
-                seeds.len(),
-                workers,
-                servers,
-                iters
+            let cases = mode_cases(
+                flags.get_num("workers", 4usize),
+                flags.get_num("servers", 3usize),
+                flags.get_num("iters", 6u32),
             );
-            let cand = mode_sweep(&cases, &seeds).unwrap_or_else(|e| die(&e));
-            print!("{}", cand.render());
-            if let Some(path) = flags.get("out") {
-                std::fs::write(path, cand.to_json())
-                    .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
-                println!("report written to {path}");
-            }
-            if let Some(base_path) = flags.get("gate").filter(|p| !p.is_empty()) {
-                let text = std::fs::read_to_string(base_path)
-                    .unwrap_or_else(|e| die(&format!("cannot read {base_path}: {e}")));
-                let base = ModeBenchReport::from_json(&text)
-                    .unwrap_or_else(|e| die(&format!("{base_path}: {e}")));
-                let tol = tolerance_milli(&flags);
-                let violations = compare_modes(&base, &cand, tol);
-                if violations.is_empty() {
-                    println!("mode gate passed ({:.1}% tolerance)", tol as f64 / 10.0);
-                } else {
-                    for v in &violations {
-                        eprintln!("REGRESSION {v}");
-                    }
-                    exit(1);
-                }
-            }
+            run(&cases, &seeds(&flags, MODE_SEEDS))
         }
         "serve" => {
-            let flags = Flags::parse(rest);
-            let seeds: Vec<u64> = match flags.get("seeds") {
-                None => SERVE_SEEDS.to_vec(),
-                Some(list) => list
-                    .split(',')
-                    .map(|s| {
-                        s.trim()
-                            .parse()
-                            .unwrap_or_else(|_| die(&format!("bad seed '{s}' in --seeds")))
-                    })
-                    .collect(),
+            let presets: Vec<&str> = match flags.get("presets") {
+                None => SERVE_PRESETS.to_vec(),
+                Some(list) => list.split(',').map(str::trim).collect(),
             };
-            if seeds.is_empty() {
-                die("--seeds needs at least one seed");
-            }
-            let presets: Vec<String> = match flags.get("presets") {
-                None => SERVE_PRESETS.iter().map(|p| p.to_string()).collect(),
-                Some(list) => list.split(',').map(|s| s.trim().to_string()).collect(),
-            };
-            let preset_refs: Vec<&str> = presets.iter().map(String::as_str).collect();
-            eprintln!(
-                "sweeping {} serve cases x {} seeds...",
-                preset_refs.len(),
-                seeds.len()
-            );
-            let cand = serve_sweep(&preset_refs, &seeds).unwrap_or_else(|e| die(&e));
-            print!("{}", cand.render());
-            if let Some(path) = flags.get("out") {
-                std::fs::write(path, cand.to_json())
-                    .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
-                println!("report written to {path}");
-            }
-            if let Some(base_path) = flags.get("gate").filter(|p| !p.is_empty()) {
-                let text = std::fs::read_to_string(base_path)
-                    .unwrap_or_else(|e| die(&format!("cannot read {base_path}: {e}")));
-                let base = ServeBenchReport::from_json(&text)
-                    .unwrap_or_else(|e| die(&format!("{base_path}: {e}")));
-                let tol = tolerance_milli(&flags);
-                let violations = compare_serve(&base, &cand, tol);
-                if violations.is_empty() {
-                    println!("serve gate passed ({:.1}% tolerance)", tol as f64 / 10.0);
-                } else {
-                    for v in &violations {
-                        eprintln!("REGRESSION {v}");
-                    }
-                    exit(1);
-                }
-            }
-        }
-        "--gate" => {
-            let Some((base_path, rest)) = rest.split_first() else {
-                usage();
-            };
-            let flags = Flags::parse(rest);
-            let base = load(base_path);
-            let (cand, host) = run_sweep(&flags);
-            print!("{}", cand.render());
-            if let Some(path) = flags.get("out") {
-                std::fs::write(path, cand.to_json())
-                    .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
-                println!("fresh report written to {path}");
-            }
-            write_host_out(&flags, &host);
-            write_slo_out(
-                &flags,
-                flags.get_num("workers", 4usize),
-                flags.get_num("servers", 4usize),
-                flags.get_num("iters", 4usize),
-                first_seed(&flags),
-            );
-            gate(&base, &cand, tolerance_milli(&flags));
+            run(&presets, &seeds(&flags, SERVE_SEEDS))
         }
         _ => usage(),
+    };
+    print!("{}", cand.render());
+    write_flag(&flags, "out", "report", &cand.to_json());
+    if let Some(base) = base {
+        gate(&base, &cand, &flags, true);
     }
 }
