@@ -1,9 +1,8 @@
 //! First-class consistency modes: one worker loop, three synchronization
 //! disciplines.
 //!
-//! This is the generalization of the SSP prototype (`ssp.rs`): the same
-//! Spark-free pull → gradient → push topology now runs under any
-//! [`ConsistencyMode`] —
+//! One Spark-free pull → gradient → push topology runs under any
+//! [`ConsistencyMode`] (SSP experiments use `ConsistencyMode::Ssp`) —
 //!
 //! * **BSP** — every iteration gated by the clock service with `bound = 0`
 //!   (a barrier), parameter cache effectively disabled, pushes acknowledged

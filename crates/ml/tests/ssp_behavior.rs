@@ -1,19 +1,25 @@
 //! Tests for the SSP training mode.
 
 use ps2_data::SparseDatasetGen;
-use ps2_ml::ssp::{run_lr_ssp, SspConfig};
+use ps2_ml::modes::{run_mode, ModeAlgo, ModeConfig};
+use ps2_ps::ConsistencyMode;
 use ps2_simnet::SimTime;
 
-fn base_cfg() -> SspConfig {
-    SspConfig::new(SparseDatasetGen::new(2_000, 3_000, 12, 4, 7), 4, 3)
+fn base_cfg() -> ModeConfig {
+    ModeConfig::new(
+        SparseDatasetGen::new(2_000, 3_000, 12, 4, 7),
+        4,
+        3,
+        ConsistencyMode::Ssp { bound: 0 },
+    )
 }
 
 #[test]
 fn bsp_mode_converges() {
     let mut cfg = base_cfg();
-    cfg.staleness = 0;
+    cfg.mode = ConsistencyMode::Ssp { bound: 0 };
     cfg.iterations = 25;
-    let (trace, report) = run_lr_ssp(&cfg);
+    let (trace, report) = run_mode(&cfg, ModeAlgo::Lr);
     assert!(trace.is_sane());
     assert_eq!(trace.points.len(), 25);
     assert!(
@@ -32,10 +38,10 @@ fn staleness_bound_is_respected_by_the_clock_daemon() {
     // per-iteration spread: the run completes (no deadlock) and the total
     // time is governed by the straggler under BSP.
     let mut bsp = base_cfg();
-    bsp.staleness = 0;
+    bsp.mode = ConsistencyMode::Ssp { bound: 0 };
     bsp.iterations = 10;
     bsp.straggler_slowdown = SimTime::from_millis(50);
-    let (bsp_trace, _) = run_lr_ssp(&bsp);
+    let (bsp_trace, _) = run_mode(&bsp, ModeAlgo::Lr);
     // Every BSP iteration waits for the straggler: ≥ 50ms apart.
     for w in bsp_trace.points.windows(2) {
         assert!(
@@ -50,10 +56,10 @@ fn staleness_bound_is_respected_by_the_clock_daemon() {
 fn ssp_outpaces_bsp_under_stragglers() {
     let run = |staleness: u32| {
         let mut cfg = base_cfg();
-        cfg.staleness = staleness;
+        cfg.mode = ConsistencyMode::Ssp { bound: staleness };
         cfg.iterations = 20;
         cfg.straggler_slowdown = SimTime::from_millis(40);
-        let (trace, _) = run_lr_ssp(&cfg);
+        let (trace, _) = run_mode(&cfg, ModeAlgo::Lr);
         trace
     };
     let bsp = run(0);
@@ -76,9 +82,9 @@ fn ssp_outpaces_bsp_under_stragglers() {
 fn ssp_runs_are_deterministic() {
     let run = || {
         let mut cfg = base_cfg();
-        cfg.staleness = 2;
+        cfg.mode = ConsistencyMode::Ssp { bound: 2 };
         cfg.iterations = 8;
-        let (trace, report) = run_lr_ssp(&cfg);
+        let (trace, report) = run_mode(&cfg, ModeAlgo::Lr);
         (trace.points, report.total_bytes)
     };
     assert_eq!(run(), run());

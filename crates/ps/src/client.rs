@@ -169,54 +169,46 @@ impl MatrixHandle {
             .expect("one reply for one request")
     }
 
+    fn pull_req(&self, row: u32, cols: ColsSel) -> PullReq {
+        PullReq {
+            id: self.id,
+            row,
+            cols,
+            value_bytes: self.value_bytes,
+        }
+    }
+
+    /// A push of `data` to `row` under a fresh op id.
+    fn push_req(&self, ctx: &mut SimCtx, row: u32, data: PushData) -> PushReq {
+        PushReq {
+            id: self.id,
+            row,
+            data,
+            op_id: ctx.alloc_reply_token(),
+        }
+    }
+
     // ---- row access: pull -------------------------------------------------
 
-    /// Pull a full dense row, gathering segments from every server in
-    /// parallel.
+    /// Pull a full dense row, gathering its segments from every owning
+    /// server in parallel.
     pub fn pull_row(&self, ctx: &mut SimCtx, row: u32) -> Vec<f64> {
         assert!(row < self.rows());
-        match &self.plan.kind {
-            PlanKind::Column { .. } => {
-                let reqs = self
-                    .plan
-                    .column_ranges()
-                    .iter()
-                    .map(|&(slot, _, _)| {
-                        let req = PullReq {
-                            id: self.id,
-                            row,
-                            cols: ColsSel::All,
-                            value_bytes: self.value_bytes,
-                        };
-                        (slot, req, HDR)
-                    })
-                    .collect();
-                let replies = self.fabric_call(ctx, tags::PULL, reqs, 1);
-                let mut out = Vec::with_capacity(self.dim() as usize);
-                for env in replies {
-                    let segs = env.downcast::<Vec<Vec<f64>>>();
-                    for seg in segs {
-                        out.extend(seg);
-                    }
-                }
-                debug_assert_eq!(out.len() as u64, self.dim());
-                out
-            }
-            PlanKind::Row { .. } => {
-                let req = PullReq {
-                    id: self.id,
-                    row,
-                    cols: ColsSel::All,
-                    value_bytes: self.value_bytes,
-                };
-                let reply: RowPullReply = self
-                    .fabric_one(ctx, self.plan.row_owner(row), tags::PULL, req, HDR, 1)
-                    .downcast();
-                // Owners always hold their rows; only replicas answer a miss.
-                debug_assert_ne!(reply.flag, ReplicaFlag::Miss);
-                reply.segs.into_iter().flatten().collect()
-            }
+        let reqs = self
+            .plan
+            .segments(row)
+            .into_iter()
+            .map(|(slot, _, _)| (slot, self.pull_req(row, ColsSel::All), HDR))
+            .collect();
+        let mut out = Vec::with_capacity(self.dim() as usize);
+        for env in self.fabric_call(ctx, tags::PULL, reqs, 1) {
+            let reply: RowPullReply = env.downcast();
+            // Owners always hold their rows; only replicas answer a miss.
+            debug_assert_ne!(reply.flag, ReplicaFlag::Miss);
+            out.extend(reply.segs.into_iter().flatten());
         }
+        debug_assert_eq!(out.len() as u64, self.dim());
+        out
     }
 
     /// Sparse pull: only the requested columns travel — the mechanism behind
@@ -227,46 +219,19 @@ impl MatrixHandle {
             return Vec::new();
         }
         debug_assert!(cols.windows(2).all(|w| w[0] < w[1]), "cols must be sorted");
-        if !self.is_column() {
-            let req = PullReq {
-                id: self.id,
-                row,
-                cols: ColsSel::List(Arc::new(cols.to_vec())),
-                value_bytes: self.value_bytes,
-            };
-            let bytes = HDR + 4 * cols.len() as u64;
-            return self
-                .fabric_one(ctx, self.plan.row_owner(row), tags::PULL, req, bytes, 1)
-                .downcast();
-        }
-        // Split by server range; cols are sorted so each chunk is contiguous.
-        let mut reqs = Vec::new();
-        let mut spans: Vec<(usize, usize)> = Vec::new(); // [start, end) into cols
-        let ranges = self.plan.column_ranges();
-        let mut i = 0usize;
-        for &(slot, _lo, hi) in &ranges {
-            let start = i;
-            while i < cols.len() && cols[i] < hi {
-                i += 1;
-            }
-            if i > start {
-                let chunk: Vec<u64> = cols[start..i].to_vec();
+        let reqs = self
+            .plan
+            .split_sorted(row, cols.len(), |i| cols[i])
+            .into_iter()
+            .map(|(slot, start, end)| {
+                let chunk = Arc::new(cols[start..end].to_vec());
                 let bytes = HDR + 4 * chunk.len() as u64;
-                let req = PullReq {
-                    id: self.id,
-                    row,
-                    cols: ColsSel::List(Arc::new(chunk)),
-                    value_bytes: self.value_bytes,
-                };
-                reqs.push((slot, req, bytes));
-                spans.push((start, i));
-            }
-        }
-        let replies = self.fabric_call(ctx, tags::PULL, reqs, 1);
-        let mut out = vec![0.0; cols.len()];
-        for (env, (start, end)) in replies.into_iter().zip(spans) {
-            let values = env.downcast::<Vec<f64>>();
-            out[start..end].copy_from_slice(&values);
+                (slot, self.pull_req(row, ColsSel::List(chunk)), bytes)
+            })
+            .collect();
+        let mut out = Vec::with_capacity(cols.len());
+        for env in self.fabric_call(ctx, tags::PULL, reqs, 1) {
+            out.extend(env.downcast::<Vec<f64>>());
         }
         out
     }
@@ -278,34 +243,14 @@ impl MatrixHandle {
         if lo == hi {
             return Vec::new();
         }
-        if !self.is_column() {
-            let req = PullReq {
-                id: self.id,
-                row,
-                cols: ColsSel::Range(lo, hi),
-                value_bytes: self.value_bytes,
-            };
-            return self
-                .fabric_one(ctx, self.plan.row_owner(row), tags::PULL, req, HDR + 16, 1)
-                .downcast();
-        }
         let reqs = self
             .plan
-            .locate_range(lo, hi)
+            .locate_range(row, lo, hi)
             .into_iter()
-            .map(|(plo, phi, slot)| {
-                let req = PullReq {
-                    id: self.id,
-                    row,
-                    cols: ColsSel::Range(plo, phi),
-                    value_bytes: self.value_bytes,
-                };
-                (slot, req, HDR + 16)
-            })
+            .map(|(slot, plo, phi)| (slot, self.pull_req(row, ColsSel::Range(plo, phi)), HDR + 16))
             .collect();
-        let replies = self.fabric_call(ctx, tags::PULL, reqs, 1);
         let mut out = Vec::with_capacity((hi - lo) as usize);
-        for env in replies {
+        for env in self.fabric_call(ctx, tags::PULL, reqs, 1) {
             out.extend(env.downcast::<Vec<f64>>());
         }
         debug_assert_eq!(out.len() as u64, hi - lo);
@@ -317,43 +262,7 @@ impl MatrixHandle {
     /// Dense additive push of a full row, split across servers.
     pub fn push_dense(&self, ctx: &mut SimCtx, row: u32, values: &[f64]) {
         assert_eq!(values.len() as u64, self.dim());
-        match &self.plan.kind {
-            PlanKind::Column { .. } => {
-                let reqs = self
-                    .plan
-                    .column_ranges()
-                    .into_iter()
-                    .map(|(slot, lo, hi)| {
-                        let seg: Vec<f64> = values[lo as usize..hi as usize].to_vec();
-                        let bytes = HDR + self.value_bytes * seg.len() as u64;
-                        let req = PushReq {
-                            id: self.id,
-                            row,
-                            data: PushData::DenseSeg {
-                                lo,
-                                values: Arc::new(seg),
-                            },
-                            op_id: ctx.alloc_reply_token(),
-                        };
-                        (slot, req, bytes)
-                    })
-                    .collect();
-                let _ = self.fabric_call(ctx, tags::PUSH, reqs, 1);
-            }
-            PlanKind::Row { .. } => {
-                let bytes = HDR + self.value_bytes * values.len() as u64;
-                let req = PushReq {
-                    id: self.id,
-                    row,
-                    data: PushData::DenseSeg {
-                        lo: 0,
-                        values: Arc::new(values.to_vec()),
-                    },
-                    op_id: ctx.alloc_reply_token(),
-                };
-                let _ = self.fabric_one(ctx, self.plan.row_owner(row), tags::PUSH, req, bytes, 1);
-            }
-        }
+        self.push_dense_range(ctx, row, 0, values);
     }
 
     /// Dense additive push of the contiguous columns `[lo, lo+values.len())`
@@ -364,37 +273,18 @@ impl MatrixHandle {
         if values.is_empty() {
             return;
         }
-        if !self.is_column() {
-            let bytes = HDR + self.value_bytes * values.len() as u64;
-            let req = PushReq {
-                id: self.id,
-                row,
-                data: PushData::DenseSeg {
-                    lo,
-                    values: Arc::new(values.to_vec()),
-                },
-                op_id: ctx.alloc_reply_token(),
-            };
-            let _ = self.fabric_one(ctx, self.plan.row_owner(row), tags::PUSH, req, bytes, 1);
-            return;
-        }
         let reqs = self
             .plan
-            .locate_range(lo, hi)
+            .locate_range(row, lo, hi)
             .into_iter()
-            .map(|(plo, phi, slot)| {
-                let seg: Vec<f64> = values[(plo - lo) as usize..(phi - lo) as usize].to_vec();
+            .map(|(slot, plo, phi)| {
+                let seg = values[(plo - lo) as usize..(phi - lo) as usize].to_vec();
                 let bytes = HDR + self.value_bytes * seg.len() as u64;
-                let req = PushReq {
-                    id: self.id,
-                    row,
-                    data: PushData::DenseSeg {
-                        lo: plo,
-                        values: Arc::new(seg),
-                    },
-                    op_id: ctx.alloc_reply_token(),
+                let data = PushData::DenseSeg {
+                    lo: plo,
+                    values: Arc::new(seg),
                 };
-                (slot, req, bytes)
+                (slot, self.push_req(ctx, row, data), bytes)
             })
             .collect();
         let _ = self.fabric_call(ctx, tags::PUSH, reqs, 1);
@@ -411,37 +301,16 @@ impl MatrixHandle {
     ) -> Vec<(usize, PushReq, u64)> {
         debug_assert!(pairs.windows(2).all(|w| w[0].0 < w[1].0));
         let per_pair = 4 + self.value_bytes;
-        if !self.is_column() {
-            let bytes = HDR + per_pair * pairs.len() as u64;
-            let req = PushReq {
-                id: self.id,
-                row,
-                data: PushData::Sparse(Arc::new(pairs.to_vec())),
-                op_id: ctx.alloc_reply_token(),
-            };
-            return vec![(self.plan.row_owner(row), req, bytes)];
-        }
-        let ranges = self.plan.column_ranges();
-        let mut reqs = Vec::new();
-        let mut i = 0usize;
-        for &(slot, _lo, hi) in &ranges {
-            let start = i;
-            while i < pairs.len() && pairs[i].0 < hi {
-                i += 1;
-            }
-            if i > start {
-                let chunk: Vec<(u64, f64)> = pairs[start..i].to_vec();
+        self.plan
+            .split_sorted(row, pairs.len(), |i| pairs[i].0)
+            .into_iter()
+            .map(|(slot, start, end)| {
+                let chunk = pairs[start..end].to_vec();
                 let bytes = HDR + per_pair * chunk.len() as u64;
-                let req = PushReq {
-                    id: self.id,
-                    row,
-                    data: PushData::Sparse(Arc::new(chunk)),
-                    op_id: ctx.alloc_reply_token(),
-                };
-                reqs.push((slot, req, bytes));
-            }
-        }
-        reqs
+                let data = PushData::Sparse(Arc::new(chunk));
+                (slot, self.push_req(ctx, row, data), bytes)
+            })
+            .collect()
     }
 
     /// Sparse additive push (`(column, delta)` pairs, sorted by column).
@@ -783,41 +652,6 @@ impl MatrixHandle {
         let _ = self.fabric_call(ctx, tags::SCALE, reqs, 1);
     }
 
-    // ---- batched ops (sugar over PsBatch) ---------------------------------------
-
-    /// Many server-side dot products in **one envelope per server** (the
-    /// Angel-style batched psFunc: DeepWalk issues one per mini-batch).
-    /// Result `i` is the dot of `pairs[i]`.
-    pub fn dot_many(&self, ctx: &mut SimCtx, pairs: &[(u32, u32)]) -> Vec<f64> {
-        let mut batch = PsBatch::new();
-        let out = self.dot_many_in(&mut batch, pairs);
-        batch.flush(ctx);
-        out.take()
-    }
-
-    /// Many independent server-side zips in one envelope per server.
-    pub fn zip_many(&self, ctx: &mut SimCtx, jobs: Vec<(Vec<u32>, ZipMutFn)>, flops_per_elem: u64) {
-        let mut batch = PsBatch::new();
-        self.zip_many_in(ctx, &mut batch, jobs, flops_per_elem);
-        batch.flush(ctx);
-    }
-
-    /// Pull many full dense rows in one envelope per server. Result `i` is
-    /// `rows[i]`'s values.
-    pub fn pull_rows(&self, ctx: &mut SimCtx, rows: &[u32]) -> Vec<Vec<f64>> {
-        let mut batch = PsBatch::new();
-        let out = self.pull_rows_in(&mut batch, rows);
-        batch.flush(ctx);
-        out.take()
-    }
-
-    /// Dense additive push of many full rows in one envelope per server.
-    pub fn push_dense_many(&self, ctx: &mut SimCtx, updates: &[(u32, Vec<f64>)]) {
-        let mut batch = PsBatch::new();
-        self.push_dense_many_in(ctx, &mut batch, updates);
-        batch.flush(ctx);
-    }
-
     // ---- batch enqueue API ------------------------------------------------------
 
     /// Enqueue a [`MatrixHandle::zip`] into `batch` (one sub-request per
@@ -954,20 +788,16 @@ impl MatrixHandle {
             result.fill(Vec::new());
             return result;
         }
-        assert!(self.is_column(), "pull_rows requires column partitioning");
+        assert!(
+            self.is_column(),
+            "pull_rows_in requires column partitioning"
+        );
         let row_reqs: Vec<Arc<dyn Any + Send + Sync>> = rows
             .iter()
-            .map(|&row| {
-                Arc::new(PullReq {
-                    id: self.id,
-                    row,
-                    cols: ColsSel::All,
-                    value_bytes: self.value_bytes,
-                }) as Arc<dyn Any + Send + Sync>
-            })
+            .map(|&row| Arc::new(self.pull_req(row, ColsSel::All)) as Arc<dyn Any + Send + Sync>)
             .collect();
         let mut subs = Vec::new();
-        for slot in self.column_slots() {
+        for slot in self.row_slots(rows[0]) {
             for req in &row_reqs {
                 subs.push((slot, tags::PULL, Arc::clone(req), 4));
             }
@@ -983,7 +813,7 @@ impl MatrixHandle {
             Some(Box::new(move |collected| {
                 let mut out: Vec<Vec<f64>> = vec![vec![0.0; dim]; n];
                 for (k, (slot, reply)) in collected.into_iter().enumerate() {
-                    let segs = *reply.downcast::<Vec<Vec<f64>>>().expect("pulled segments");
+                    let segs = reply.downcast::<RowPullReply>().expect("pulled row").segs;
                     let row_out = &mut out[k % n];
                     for (&(lo, hi), seg) in plan.ranges_of(slot).iter().zip(segs) {
                         debug_assert_eq!(seg.len() as u64, hi - lo);
@@ -1008,7 +838,7 @@ impl MatrixHandle {
         }
         assert!(
             self.is_column(),
-            "push_dense_many requires column partitioning"
+            "push_dense_many_in requires column partitioning"
         );
         let mut subs = Vec::new();
         for &(slot, lo, hi) in &self.plan.column_ranges() {
@@ -1042,17 +872,13 @@ impl MatrixHandle {
         }
         debug_assert!(cols.windows(2).all(|w| w[0] < w[1]));
         let rows_arc = Arc::new(rows.to_vec());
-        let ranges = self.plan.column_ranges();
-        let mut reqs = Vec::new();
-        let mut spans = Vec::new();
-        let mut i = 0usize;
-        for &(slot, _lo, hi) in &ranges {
-            let start = i;
-            while i < cols.len() && cols[i] < hi {
-                i += 1;
-            }
-            if i > start {
-                let chunk: Vec<u64> = cols[start..i].to_vec();
+        // Column plans lay every row out alike, so any row names the split.
+        let reqs = self
+            .plan
+            .split_sorted(0, cols.len(), |i| cols[i])
+            .into_iter()
+            .map(|(slot, start, end)| {
+                let chunk = cols[start..end].to_vec();
                 let bytes = HDR + 4 * chunk.len() as u64 + 4 * rows.len() as u64;
                 let req = PullBlockReq {
                     id: self.id,
@@ -1060,17 +886,12 @@ impl MatrixHandle {
                     cols: Arc::new(chunk),
                     value_bytes: self.value_bytes,
                 };
-                reqs.push((slot, req, bytes));
-                spans.push((start, i));
-            }
-        }
-        let replies = self.fabric_call(ctx, tags::PULL_BLOCK, reqs, rows.len() as u64);
-        let mut out: Vec<Vec<f64>> = vec![Vec::new(); cols.len()];
-        for (env, (start, end)) in replies.into_iter().zip(spans) {
-            let block = env.downcast::<Vec<Vec<f64>>>();
-            for (slot, col_vals) in out[start..end].iter_mut().zip(block) {
-                *slot = col_vals;
-            }
+                (slot, req, bytes)
+            })
+            .collect();
+        let mut out: Vec<Vec<f64>> = Vec::with_capacity(cols.len());
+        for env in self.fabric_call(ctx, tags::PULL_BLOCK, reqs, rows.len() as u64) {
+            out.extend(env.downcast::<Vec<Vec<f64>>>());
         }
         out
     }
@@ -1084,17 +905,13 @@ impl MatrixHandle {
         }
         debug_assert!(updates.windows(2).all(|w| w[0].0 < w[1].0));
         let rows_arc = Arc::new(rows.to_vec());
-        let ranges = self.plan.column_ranges();
-        let mut reqs = Vec::new();
-        let mut i = 0usize;
         let per_cell = self.value_bytes;
-        for &(slot, _lo, hi) in &ranges {
-            let start = i;
-            while i < updates.len() && updates[i].0 < hi {
-                i += 1;
-            }
-            if i > start {
-                let chunk: Vec<(u64, Vec<f64>)> = updates[start..i].to_vec();
+        let reqs = self
+            .plan
+            .split_sorted(0, updates.len(), |i| updates[i].0)
+            .into_iter()
+            .map(|(slot, start, end)| {
+                let chunk = updates[start..end].to_vec();
                 let cells: u64 = chunk.iter().map(|(_, d)| d.len() as u64).sum();
                 let bytes = HDR + 4 * chunk.len() as u64 + per_cell * cells;
                 let req = PushBlockReq {
@@ -1103,9 +920,9 @@ impl MatrixHandle {
                     updates: Arc::new(chunk),
                     op_id: ctx.alloc_reply_token(),
                 };
-                reqs.push((slot, req, bytes));
-            }
-        }
+                (slot, req, bytes)
+            })
+            .collect();
         let _ = self.fabric_call(ctx, tags::PUSH_BLOCK, reqs, rows.len() as u64);
     }
 
@@ -1194,17 +1011,8 @@ impl MatrixHandle {
         assert_eq!(self.dim(), other.dim());
         assert!(self.is_column() && other.is_column());
         let mut acc = 0.0;
-        for (slot, lo, hi) in self.plan.column_ranges() {
-            let pieces = if self.colocated_with(other) {
-                vec![(lo, hi, self.route.resolve(slot))]
-            } else {
-                other
-                    .plan
-                    .locate_range(lo, hi)
-                    .into_iter()
-                    .map(|(a, b, s)| (a, b, other.route.resolve(s)))
-                    .collect()
-            };
+        for (slot, lo, hi) in self.plan.segments(row_self) {
+            let pieces = self.cross_pieces(other, row_other, slot, lo, hi);
             let req = CrossDotReq {
                 local_id: self.id,
                 local_row: row_self,
@@ -1234,17 +1042,8 @@ impl MatrixHandle {
     ) {
         assert_eq!(self.dim(), other.dim());
         assert!(self.is_column() && other.is_column());
-        for (slot, lo, hi) in self.plan.column_ranges() {
-            let pieces = if self.colocated_with(other) {
-                vec![(lo, hi, self.route.resolve(slot))]
-            } else {
-                other
-                    .plan
-                    .locate_range(lo, hi)
-                    .into_iter()
-                    .map(|(a, b, s)| (a, b, other.route.resolve(s)))
-                    .collect()
-            };
+        for (slot, lo, hi) in self.plan.segments(dst_row) {
+            let pieces = self.cross_pieces(other, src_row, slot, lo, hi);
             let req = CrossElemReq {
                 dst_id: self.id,
                 dst_row,
@@ -1259,48 +1058,52 @@ impl MatrixHandle {
         }
     }
 
+    /// Where `self`'s segment `[lo, hi)` on `slot` finds the matching
+    /// columns of `other[row_other]`: on the same server when the two are
+    /// co-located, else on `other`'s owning servers.
+    fn cross_pieces(
+        &self,
+        other: &MatrixHandle,
+        row_other: u32,
+        slot: usize,
+        lo: u64,
+        hi: u64,
+    ) -> Vec<(u64, u64, ProcId)> {
+        if self.colocated_with(other) {
+            return vec![(lo, hi, self.route.resolve(slot))];
+        }
+        other
+            .plan
+            .locate_range(row_other, lo, hi)
+            .into_iter()
+            .map(|(s, a, b)| (a, b, other.route.resolve(s)))
+            .collect()
+    }
+
     // ---- routing helpers -----------------------------------------------------
 
-    /// Slots owning any part of a column-partitioned matrix, sorted and
-    /// de-duplicated. `column_ranges()` is *column*-ordered — for rotated or
-    /// hand-built plans that is not slot-ordered, so a bare `dedup()` (which
-    /// only merges adjacent repeats) would leave duplicate slots and fan the
-    /// same request out twice.
-    fn column_slots(&self) -> Vec<usize> {
-        let mut slots: Vec<usize> = self
-            .plan
-            .column_ranges()
-            .iter()
-            .map(|&(s, _, _)| s)
-            .collect();
+    /// Slots that hold any part of `row`, sorted and de-duplicated.
+    /// `segments` is *column*-ordered — for rotated or hand-built plans that
+    /// is not slot-ordered, so a bare `dedup()` (which only merges adjacent
+    /// repeats) would leave duplicate slots and fan the same request out
+    /// twice.
+    fn row_slots(&self, row: u32) -> Vec<usize> {
+        let mut slots: Vec<usize> = self.plan.segments(row).iter().map(|&(s, _, _)| s).collect();
         slots.sort_unstable();
         slots.dedup();
         slots
     }
 
-    /// Slots that hold any part of `row`.
-    fn row_slots(&self, row: u32) -> Vec<usize> {
-        match &self.plan.kind {
-            PlanKind::Column { .. } => self.column_slots(),
-            PlanKind::Row { .. } => vec![self.plan.row_owner(row)],
-        }
-    }
-
-    /// Slots participating in a column op over `rows`; for row plans this
-    /// only works when all rows share one owner.
+    /// Slots participating in a column op over `rows`: every row must be
+    /// held by the same slots, which row plans only meet for co-owned rows.
     fn col_op_slots(&self, rows: &[u32]) -> Vec<usize> {
-        match &self.plan.kind {
-            PlanKind::Column { .. } => self.row_slots(rows[0]),
-            PlanKind::Row { .. } => {
-                let owners: Vec<usize> = rows.iter().map(|&r| self.plan.row_owner(r)).collect();
-                assert!(
-                    owners.windows(2).all(|w| w[0] == w[1]),
-                    "row-partitioned matrices only support column ops on co-owned rows \
-                     (the single-point limitation of row partitioning, paper §4.3)"
-                );
-                vec![owners[0]]
-            }
-        }
+        let slots = self.row_slots(rows[0]);
+        assert!(
+            rows[1..].iter().all(|&r| self.row_slots(r) == slots),
+            "row-partitioned matrices only support column ops on co-owned rows \
+             (the single-point limitation of row partitioning, paper §4.3)"
+        );
+        slots
     }
 }
 
@@ -1329,8 +1132,8 @@ impl PendingPush {
 // ---- the client-side parameter cache ----------------------------------------
 
 /// A worker-local parameter cache, the client half of the consistency
-/// modes: `pull_cols`/`pull_rows` are served from local copies while the
-/// entries are within the mode's staleness ttl, and only the misses travel.
+/// modes: `pull_cols` is served from local copies while the entries are
+/// within the mode's staleness ttl, and only the misses travel.
 ///
 /// Coherence rules (documented in DESIGN.md §consistency modes):
 ///
@@ -1351,10 +1154,8 @@ pub struct ParamCache {
     clock: u32,
     /// Route epoch the entries were fetched under.
     epoch_seen: u64,
-    /// Sparse entries: `(row, col) → (value, fetched_at_clock)`.
+    /// Cached entries: `(row, col) → (value, fetched_at_clock)`.
     cols: BTreeMap<(u32, u64), (f64, u32)>,
-    /// Dense whole-row entries: `row → (values, fetched_at_clock)`.
-    rows: BTreeMap<u32, (Vec<f64>, u32)>,
 }
 
 impl ParamCache {
@@ -1364,7 +1165,6 @@ impl ParamCache {
             clock: 0,
             epoch_seen: 0,
             cols: BTreeMap::new(),
-            rows: BTreeMap::new(),
         }
     }
 
@@ -1378,22 +1178,20 @@ impl ParamCache {
         self.clock = t;
         let ttl = self.mode.cache_ttl();
         self.cols.retain(|_, &mut (_, f)| t - f.min(t) <= ttl);
-        self.rows.retain(|_, &mut (_, f)| t - f.min(t) <= ttl);
     }
 
     /// Drop everything (used on route-epoch movement, available to tests).
     pub fn invalidate(&mut self) {
         self.cols.clear();
-        self.rows.clear();
     }
 
-    /// Cached entries currently held (both kinds).
+    /// Cached entries currently held.
     pub fn len(&self) -> usize {
-        self.cols.len() + self.rows.len()
+        self.cols.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.cols.is_empty() && self.rows.is_empty()
+        self.cols.is_empty()
     }
 
     fn fresh(&self, fetched_at: u32) -> bool {
@@ -1448,38 +1246,6 @@ impl ParamCache {
             .collect()
     }
 
-    /// [`MatrixHandle::pull_rows`] through the cache: whole dense rows are
-    /// cached as units; only the rows not fresh enough travel.
-    pub fn pull_rows(
-        &mut self,
-        ctx: &mut SimCtx,
-        handle: &MatrixHandle,
-        rows: &[u32],
-    ) -> Vec<Vec<f64>> {
-        self.validate_epoch(handle);
-        let missing: Vec<u32> = rows
-            .iter()
-            .copied()
-            .filter(|r| match self.rows.get(r) {
-                Some(&(_, f)) => !self.fresh(f),
-                None => true,
-            })
-            .collect();
-        ctx.metric_add("ps.cache.hit", (rows.len() - missing.len()) as u64);
-        ctx.metric_add("ps.cache.miss", missing.len() as u64);
-        if !missing.is_empty() {
-            let fetched = handle.pull_rows(ctx, &missing);
-            let t0 = ctx.now();
-            for (&r, v) in missing.iter().zip(fetched) {
-                self.rows.insert(r, (v, self.clock));
-            }
-            ctx.req_cache_fill(ctx.now() - t0);
-        }
-        rows.iter()
-            .map(|r| self.rows.get(r).expect("filled above").0.clone())
-            .collect()
-    }
-
     /// Apply the worker's own sparse push to the cached copies
     /// (read-my-writes): existing entries absorb the delta and count as
     /// refreshed at the current clock — the server's value is at least this
@@ -1490,14 +1256,6 @@ impl ParamCache {
                 e.0 += d;
                 e.1 = self.clock;
             }
-        }
-        if let Some((values, f)) = self.rows.get_mut(&row) {
-            for &(c, d) in pairs {
-                if let Some(v) = values.get_mut(c as usize) {
-                    *v += d;
-                }
-            }
-            *f = self.clock;
         }
     }
 }

@@ -145,19 +145,53 @@ impl PartitionPlan {
         }
     }
 
-    /// Cover `[lo, hi)` with this plan's owning slots: `(sub_lo, sub_hi,
-    /// slot)` pieces in column order. Used when orchestrating ops between
-    /// misaligned matrices.
-    pub fn locate_range(&self, lo: u64, hi: u64) -> Vec<(u64, u64, usize)> {
-        let mut out = Vec::new();
-        for (slot, rlo, rhi) in self.column_ranges() {
-            let s = lo.max(rlo);
-            let e = hi.min(rhi);
-            if s < e {
-                out.push((s, e, slot));
+    /// Where `row` lives: `(slot, lo, hi)` for every non-empty column range
+    /// holding part of it, in column order — the column ranges under a
+    /// column plan, the whole row on its owner under a row plan. Every
+    /// row-access op routes through this one query (directly or via
+    /// [`PartitionPlan::locate_range`] / [`PartitionPlan::split_sorted`]),
+    /// so a layout change lands here and nowhere else.
+    pub fn segments(&self, row: u32) -> Vec<(usize, u64, u64)> {
+        match &self.kind {
+            PlanKind::Column { .. } => self.column_ranges(),
+            PlanKind::Row { .. } => vec![(self.row_owner(row), 0, self.dim)],
+        }
+    }
+
+    /// Cover the columns `[lo, hi)` of `row` with their owning slots:
+    /// `(slot, sub_lo, sub_hi)` pieces in column order.
+    pub fn locate_range(&self, row: u32, lo: u64, hi: u64) -> Vec<(usize, u64, u64)> {
+        self.segments(row)
+            .into_iter()
+            .filter_map(|(slot, rlo, rhi)| {
+                let (s, e) = (lo.max(rlo), hi.min(rhi));
+                (s < e).then_some((slot, s, e))
+            })
+            .collect()
+    }
+
+    /// Split `n` ascending keys of `row` (key `i` at column `col_of(i)`)
+    /// into per-slot runs: `(slot, start, end)` index ranges, in key order,
+    /// covering `0..n` exactly once.
+    pub fn split_sorted(
+        &self,
+        row: u32,
+        n: usize,
+        col_of: impl Fn(usize) -> u64,
+    ) -> Vec<(usize, usize, usize)> {
+        let mut runs = Vec::new();
+        let mut i = 0usize;
+        for (slot, _, hi) in self.segments(row) {
+            let start = i;
+            while i < n && col_of(i) < hi {
+                i += 1;
+            }
+            if i > start {
+                runs.push((slot, start, i));
             }
         }
-        out
+        debug_assert_eq!(i, n, "keys must be ascending and below dim {}", self.dim);
+        runs
     }
 
     /// Total parameters in the matrix.
@@ -261,8 +295,8 @@ mod tests {
     fn locate_range_splits_across_slots() {
         let plan = PartitionPlan::new(100, 1, 4, Partitioning::Column);
         // ranges: [0,25) [25,50) [50,75) [75,100)
-        let pieces = plan.locate_range(20, 60);
-        assert_eq!(pieces, vec![(20, 25, 0), (25, 50, 1), (50, 60, 2)]);
+        let pieces = plan.locate_range(0, 20, 60);
+        assert_eq!(pieces, vec![(0, 20, 25), (1, 25, 50), (2, 50, 60)]);
     }
 
     #[test]
@@ -273,6 +307,52 @@ mod tests {
         assert_eq!(covered, 2);
         for &(_, lo, hi) in &ranges {
             assert!(lo < hi);
+        }
+    }
+
+    #[test]
+    fn segments_and_split_sorted_cover_a_row_exactly_once() {
+        let plans = [
+            PartitionPlan::new(103, 5, 4, Partitioning::Column),
+            PartitionPlan::new(97, 5, 5, Partitioning::ColumnRotated(2)),
+            PartitionPlan::new(2, 5, 4, Partitioning::Column),
+            PartitionPlan::new(103, 5, 4, Partitioning::Row),
+            PartitionPlan::new(2, 5, 4, Partitioning::Row),
+        ];
+        for plan in &plans {
+            for row in 0..plan.rows {
+                let segs = plan.segments(row);
+                // Contiguous, non-empty, in column order, spanning [0, dim).
+                assert_eq!(segs[0].1, 0, "{plan:?}");
+                assert_eq!(segs.last().unwrap().2, plan.dim, "{plan:?}");
+                for &(slot, lo, hi) in &segs {
+                    assert!(lo < hi && slot < plan.n_slots(), "{plan:?}");
+                }
+                for w in segs.windows(2) {
+                    assert_eq!(w[0].2, w[1].1, "{plan:?}");
+                }
+                if matches!(plan.kind, PlanKind::Row { .. }) {
+                    assert_eq!(segs, vec![(plan.row_owner(row), 0, plan.dim)]);
+                }
+                // Every column is keyed to exactly one run, on the slot
+                // whose segment holds it.
+                let keys: Vec<u64> = (0..plan.dim).filter(|c| c % 3 != 1).collect();
+                let runs = plan.split_sorted(row, keys.len(), |i| keys[i]);
+                let mut next = 0;
+                for &(slot, start, end) in &runs {
+                    assert_eq!(start, next, "{plan:?}");
+                    assert!(start < end, "{plan:?}");
+                    for &k in &keys[start..end] {
+                        assert!(
+                            segs.iter()
+                                .any(|&(s, lo, hi)| s == slot && lo <= k && k < hi),
+                            "{plan:?}: key {k} routed to slot {slot}"
+                        );
+                    }
+                    next = end;
+                }
+                assert_eq!(next, keys.len(), "{plan:?}");
+            }
         }
     }
 

@@ -182,8 +182,8 @@ pub(crate) struct PullReq {
     pub value_bytes: u64,
 }
 
-/// Reply to a whole-row (`ColsSel::All`) PULL on a row-partitioned matrix:
-/// the row's segments plus the answering server's replication flag.
+/// Reply to any whole-row (`ColsSel::All`) PULL: the segments of the row
+/// the answering server holds plus its replication flag.
 pub(crate) struct RowPullReply {
     /// Empty on [`ReplicaFlag::Miss`].
     pub segs: Vec<Vec<f64>>,

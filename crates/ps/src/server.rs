@@ -11,7 +11,7 @@ use crate::protocol::{
     tags, AggKind, AggReq, AxpyReq, CheckpointReq, ColsSel, CreateReq, CrossDotReq, CrossElemReq,
     DotReq, ElemReq, EnvelopeReq, FetchSegReq, FillReq, FreeReq, InitKind, PullBlockReq, PullReq,
     PushBlockReq, PushData, PushReq, ReplicaFlag, ReplicaReq, RestoreReq, RowPullReply, ScaleReq,
-    Snapshot, StoreGetReq, StoreGetResp, StorePutReq, ZipMapReq, ZipReq, ZipSegs,
+    Snapshot, StoreGetReq, StoreGetResp, StorePutReq, ZipArgmaxReq, ZipMapReq, ZipReq, ZipSegs,
 };
 use crate::replica::{AckOutcome, Fanouts, RowReplication};
 
@@ -99,21 +99,21 @@ impl Shard {
         }
     }
 
-    fn is_column(&self) -> bool {
-        matches!(self.plan.kind, PlanKind::Column { .. })
+    /// Resolve a row to its slot in `data`, or `None` when this server
+    /// holds no part of it. `owned_rows` is ascending by construction, so
+    /// row plans binary-search it.
+    fn try_slot(&self, row: u32) -> Option<usize> {
+        match self.plan.kind {
+            PlanKind::Column { .. } => Some(row as usize),
+            PlanKind::Row { .. } => self.owned_rows.binary_search(&row).ok(),
+        }
     }
 
-    /// Resolve a row to its slot in `data`; panics if a row plan does not
-    /// own the row (a routing bug). `owned_rows` is ascending by
-    /// construction, so row plans binary-search it.
+    /// [`Shard::try_slot`] for a row this server must hold; panics
+    /// otherwise (a routing bug).
     fn slot(&self, row: u32) -> usize {
-        if self.is_column() {
-            row as usize
-        } else {
-            self.owned_rows
-                .binary_search(&row)
-                .unwrap_or_else(|_| panic!("row {row} not owned by this server"))
-        }
+        self.try_slot(row)
+            .unwrap_or_else(|| panic!("row {row} not owned by this server"))
     }
 
     /// Index of the range containing `col`.
@@ -187,69 +187,54 @@ impl OpLog {
 }
 
 /// Row-touch counters are only kept for matrices this small: envelope
-/// coalescing lowers `pull_rows`/`push_dense_many` to per-row subs, and
+/// coalescing lowers `pull_rows_in`/`push_dense_many_in` to per-row subs, and
 /// embedding tables with thousands of rows would otherwise mint a metric
 /// name per vertex.
 const ROW_TOUCH_MAX_ROWS: u32 = 64;
 
-/// The `(matrix, op_id)` dedup key of a mutating request; `None` for
-/// read-only requests, which are harmless to re-execute. Works on the bare
-/// payload so envelope sub-requests dedup exactly like bare ones.
-fn mutation_key(tag: u32, payload: &dyn Any) -> Option<(MatrixId, u64)> {
-    match tag {
+/// A mutating request's `(matrix, op_id)` dedup key and the rows it
+/// writes (on row plans, the rows whose replicas a write must refresh);
+/// `None` for read-only requests, which are harmless to re-execute. Works
+/// on the bare payload so envelope sub-requests dedup exactly like bare
+/// ones. The rows borrow from the payload, so the common path — no
+/// promoted rows to refresh — allocates nothing.
+fn mutation(tag: u32, payload: &dyn Any) -> Option<((MatrixId, u64), &[u32])> {
+    use std::slice::from_ref;
+    Some(match tag {
         tags::PUSH => {
             let r: &PushReq = cast(tag, payload);
-            Some((r.id, r.op_id))
+            ((r.id, r.op_id), from_ref(&r.row))
         }
         tags::AXPY => {
             let r: &AxpyReq = cast(tag, payload);
-            Some((r.id, r.op_id))
+            ((r.id, r.op_id), from_ref(&r.dst_row))
         }
         tags::ELEM => {
             let r: &ElemReq = cast(tag, payload);
-            Some((r.id, r.op_id))
+            ((r.id, r.op_id), from_ref(&r.dst_row))
         }
         tags::ZIP => {
             let r: &ZipReq = cast(tag, payload);
-            Some((r.id, r.op_id))
+            ((r.id, r.op_id), &r.rows[..])
         }
         tags::FILL => {
             let r: &FillReq = cast(tag, payload);
-            Some((r.id, r.op_id))
+            ((r.id, r.op_id), from_ref(&r.row))
         }
         tags::SCALE => {
             let r: &ScaleReq = cast(tag, payload);
-            Some((r.id, r.op_id))
+            ((r.id, r.op_id), from_ref(&r.row))
         }
         tags::PUSH_BLOCK => {
             let r: &PushBlockReq = cast(tag, payload);
-            Some((r.id, r.op_id))
+            ((r.id, r.op_id), &r.rows[..])
         }
         tags::CROSS_ELEM => {
             let r: &CrossElemReq = cast(tag, payload);
-            Some((r.dst_id, r.op_id))
+            ((r.dst_id, r.op_id), from_ref(&r.dst_row))
         }
-        _ => None,
-    }
-}
-
-/// The rows a mutating request writes (row plans: the rows whose replicas
-/// a write must refresh). Mirrors [`mutation_key`]'s tag list.
-fn mutated_rows(tag: u32, payload: &dyn Any) -> Vec<u32> {
-    let mut rows = match tag {
-        tags::PUSH => vec![cast::<PushReq>(tag, payload).row],
-        tags::AXPY => vec![cast::<AxpyReq>(tag, payload).dst_row],
-        tags::ELEM => vec![cast::<ElemReq>(tag, payload).dst_row],
-        tags::ZIP => cast::<ZipReq>(tag, payload).rows.clone(),
-        tags::FILL => vec![cast::<FillReq>(tag, payload).row],
-        tags::SCALE => vec![cast::<ScaleReq>(tag, payload).row],
-        tags::PUSH_BLOCK => cast::<PushBlockReq>(tag, payload).rows.to_vec(),
-        tags::CROSS_ELEM => vec![cast::<CrossElemReq>(tag, payload).dst_row],
-        _ => Vec::new(),
-    };
-    rows.sort_unstable();
-    rows.dedup();
-    rows
+        _ => return None,
+    })
 }
 
 /// The slice of a simulation context the request handlers need, so one
@@ -489,14 +474,14 @@ impl ServerState {
         match tag {
             tags::PULL => {
                 let req: &PullReq = cast(tag, payload);
-                if matches!(req.cols, ColsSel::All) && !shard_of(&self.shards, req.id).is_column() {
+                if matches!(req.cols, ColsSel::All) {
                     return self.row_pull(ctx, req);
                 }
             }
             tags::REPLICA => return self.store_replica(ctx, cast(tag, payload)),
             _ => {}
         }
-        let Some(key) = mutation_key(tag, payload) else {
+        let Some((key, rows)) = mutation(tag, payload) else {
             return execute(ctx, &mut self.shards, tag, payload);
         };
         if self.oplog.check_and_record(key.0, key.1) {
@@ -507,17 +492,19 @@ impl ServerState {
             return (Box::new(()), 8);
         }
         let out = execute(ctx, &mut self.shards, tag, payload);
-        waits.extend(self.refresh(ctx, key, tag, payload));
+        waits.extend(self.refresh(ctx, key, rows));
         out
     }
 
-    /// A whole-row read on a row plan. The owner serves it, counting it
-    /// toward promotion and flagging rows every peer holds; a peer serves
-    /// its replica, or answers a miss so the client re-sends to the owner.
+    /// A whole-row read: every segment of the row this server holds. The
+    /// owner serves it, counting it toward promotion and flagging rows
+    /// every peer holds; a row-plan peer serves its replica, or answers a
+    /// miss so the client re-sends to the owner. Column plans hold every
+    /// row, so they always answer [`ReplicaFlag::Owned`].
     fn row_pull<C: ServerCtx>(&mut self, ctx: &mut C, req: &PullReq) -> (Box<dyn Any + Send>, u64) {
         let shard = shard_mut(&mut self.shards, req.id);
-        let (segs, flag) = match shard.owned_rows.binary_search(&req.row) {
-            Ok(slot) => {
+        let (segs, flag) = match shard.try_slot(req.row) {
+            Some(slot) => {
                 // Per-matrix hot-row counter (NuPS-style access-skew
                 // tracking), bounded-cardinality matrices only.
                 if shard.plan.rows <= ROW_TOUCH_MAX_ROWS {
@@ -537,7 +524,7 @@ impl ServerState {
                 }
                 (shard.data[slot].clone(), flag)
             }
-            Err(_) => match shard.repl.as_deref().and_then(|r| r.replica(req.row)) {
+            None => match shard.repl.as_deref().and_then(|r| r.replica(req.row)) {
                 Some(segs) => (segs.to_vec(), ReplicaFlag::Replicated),
                 None => (Vec::new(), ReplicaFlag::Miss),
             },
@@ -624,21 +611,23 @@ impl ServerState {
         ctx.metric_observe("ps.server.replica.promote_at", at);
     }
 
-    /// After write `key` was applied: ship the new value of every promoted
-    /// row it touched to every peer. Returns the fan-out the write's ack
-    /// waits for, if any.
+    /// After write `key` to the `written` rows was applied: ship the new
+    /// value of every promoted row it touched to every peer. Returns the
+    /// fan-out the write's ack waits for, if any.
     fn refresh<C: ServerCtx>(
         &mut self,
         ctx: &mut C,
         key: (MatrixId, u64),
-        tag: u32,
-        payload: &dyn Any,
+        written: &[u32],
     ) -> Option<u64> {
         let repl = self.shards.get_mut(&key.0)?.repl.as_deref_mut()?;
         if !repl.has_promoted() {
             return None;
         }
-        let rows: Vec<(u32, u64)> = mutated_rows(tag, payload)
+        let mut written = written.to_vec();
+        written.sort_unstable();
+        written.dedup();
+        let rows: Vec<(u32, u64)> = written
             .into_iter()
             .filter_map(|row| repl.bump(row).map(|v| (row, v)))
             .collect();
@@ -755,22 +744,15 @@ fn execute<C: ServerCtx>(
                     1,
                 );
             }
-            let shard = shard_of(shards, req.id);
             match &req.cols {
-                crate::protocol::ColsSel::All => {
-                    let slot = shard.slot(req.row);
-                    let segs: Vec<Vec<f64>> = shard.data[slot].clone();
-                    let n: u64 = segs.iter().map(|s| s.len() as u64).sum();
-                    ctx.charge_mem(n * 8);
-                    (Box::new(segs), 16 + n * req.value_bytes)
-                }
-                crate::protocol::ColsSel::Range(lo, hi) => {
+                ColsSel::All => unreachable!("whole-row pulls are served by row_pull"),
+                ColsSel::Range(lo, hi) => {
                     let values: Vec<f64> = (*lo..*hi).map(|c| shard.get(req.row, c)).collect();
                     let n = values.len() as u64;
                     ctx.charge_mem(n * 8);
                     (Box::new(values), 16 + n * req.value_bytes)
                 }
-                crate::protocol::ColsSel::List(cols) => {
+                ColsSel::List(cols) => {
                     let values: Vec<f64> = cols.iter().map(|&c| shard.get(req.row, c)).collect();
                     let n = values.len() as u64;
                     ctx.charge_mem(n * 16);
@@ -906,40 +888,12 @@ fn execute<C: ServerCtx>(
         tags::ZIP_MAP => {
             let req: &ZipMapReq = cast(tag, payload);
             let shard = shard_of(shards, req.id);
-            let slots: Vec<usize> = req.rows.iter().map(|&r| shard.slot(r)).collect();
-            let mut partials = Vec::with_capacity(shard.ranges.len());
-            let mut n = 0u64;
-            for ri in 0..shard.ranges.len() {
-                let lo = shard.ranges[ri].0;
-                let segs: Vec<&[f64]> = slots
-                    .iter()
-                    .map(|&s| shard.data[s][ri].as_slice())
-                    .collect();
-                n += segs.first().map_or(0, |s| s.len() as u64);
-                partials.push((req.f)(&segs, lo));
-            }
-            ctx.charge_flops(req.flops_per_elem * n);
-            let bytes = 16 + 8 * partials.len() as u64;
-            (Box::new(partials), bytes)
+            fold_segments(ctx, shard, &req.rows, req.flops_per_elem, &*req.f, 8)
         }
         tags::ZIP_ARGMAX => {
-            let req: &crate::protocol::ZipArgmaxReq = cast(tag, payload);
+            let req: &ZipArgmaxReq = cast(tag, payload);
             let shard = shard_of(shards, req.id);
-            let slots: Vec<usize> = req.rows.iter().map(|&r| shard.slot(r)).collect();
-            let mut partials = Vec::with_capacity(shard.ranges.len());
-            let mut n = 0u64;
-            for ri in 0..shard.ranges.len() {
-                let lo = shard.ranges[ri].0;
-                let segs: Vec<&[f64]> = slots
-                    .iter()
-                    .map(|&s| shard.data[s][ri].as_slice())
-                    .collect();
-                n += segs.first().map_or(0, |s| s.len() as u64);
-                partials.push((req.f)(&segs, lo));
-            }
-            ctx.charge_flops(req.flops_per_elem * n);
-            let bytes = 16 + 16 * partials.len() as u64;
-            (Box::new(partials), bytes)
+            fold_segments(ctx, shard, &req.rows, req.flops_per_elem, &*req.f, 16)
         }
         tags::FILL => {
             let req: &FillReq = cast(tag, payload);
@@ -1154,6 +1108,33 @@ fn apply_axpy(shard: &mut Shard, dst: u32, src: u32, alpha: f64) -> u64 {
     n
 }
 
+/// The read-only fold behind ZIP_MAP and ZIP_ARGMAX: `f` sees the
+/// co-located segments of `rows` once per owned range and yields one
+/// partial per range, each `partial_bytes` on the wire.
+fn fold_segments<C: ServerCtx, T: Send + 'static>(
+    ctx: &mut C,
+    shard: &Shard,
+    rows: &[u32],
+    flops_per_elem: u64,
+    f: &dyn Fn(&[&[f64]], u64) -> T,
+    partial_bytes: u64,
+) -> (Box<dyn Any + Send>, u64) {
+    let slots: Vec<usize> = rows.iter().map(|&r| shard.slot(r)).collect();
+    let mut partials = Vec::with_capacity(shard.ranges.len());
+    let mut n = 0u64;
+    for (ri, &(lo, _)) in shard.ranges.iter().enumerate() {
+        let segs: Vec<&[f64]> = slots
+            .iter()
+            .map(|&s| shard.data[s][ri].as_slice())
+            .collect();
+        n += segs.first().map_or(0, |s| s.len() as u64);
+        partials.push(f(&segs, lo));
+    }
+    ctx.charge_flops(flops_per_elem * n);
+    let bytes = 16 + partial_bytes * partials.len() as u64;
+    (Box::new(partials), bytes)
+}
+
 fn assert_unique(slots: &[usize]) {
     for (i, a) in slots.iter().enumerate() {
         for b in &slots[i + 1..] {
@@ -1281,8 +1262,8 @@ mod tests {
                 cols: ColsSel::All,
                 value_bytes: 8,
             };
-            let segs: Vec<Vec<f64>> = ctx.call(server, tags::PULL, pull, 48).downcast();
-            segs[0][0]
+            let reply: RowPullReply = ctx.call(server, tags::PULL, pull, 48).downcast();
+            reply.segs[0][0]
         });
         sim.run().unwrap();
         assert_eq!(out.take(), 1.0);
@@ -1329,8 +1310,8 @@ mod tests {
                 cols: ColsSel::All,
                 value_bytes: 8,
             };
-            let segs: Vec<Vec<f64>> = ctx.call(server, tags::PULL, pull, 48).downcast();
-            segs[0][0]
+            let reply: RowPullReply = ctx.call(server, tags::PULL, pull, 48).downcast();
+            reply.segs[0][0]
         });
         sim.run().unwrap();
         assert_eq!(out.take(), 1.0);

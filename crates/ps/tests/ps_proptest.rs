@@ -1,7 +1,9 @@
 //! Property-based tests for the parameter-server substrate.
 
 use proptest::prelude::*;
-use ps2_ps::{deploy_ps, ElemOp, InitKind, PartitionPlan, Partitioning, PsConfig, PsMaster};
+use ps2_ps::{
+    deploy_ps, ElemOp, InitKind, MatrixHandle, PartitionPlan, Partitioning, PsConfig, PsMaster,
+};
 use ps2_simnet::{SimBuilder, SimCtx};
 
 fn with_ps<T, F>(n: usize, seed: u64, f: F) -> T
@@ -109,19 +111,39 @@ proptest! {
     }
 
     /// Row plans and column plans hold the same data; only placement
-    /// differs.
+    /// differs. The same dense, ranged and sparse pushes applied to both
+    /// read back alike through every row-access pull.
     #[test]
     fn row_and_column_plans_agree_on_contents(
         servers in 1usize..5,
         dim in 1u64..500,
-        row in 0u32..4
+        row in 0u32..4,
+        dense in prop::collection::vec(-10.0f64..10.0, 500..501),
+        span in (0u64..500, 0u64..500),
+        updates in prop::collection::btree_map(0u64..500, -100.0f64..100.0, 0..40),
+        keys in prop::collection::btree_set(0u64..500, 0..40)
     ) {
+        let dense = dense[..dim as usize].to_vec();
+        let (a, b) = (span.0 % (dim + 1), span.1 % (dim + 1));
+        let (lo, hi) = (a.min(b), a.max(b));
+        let updates: Vec<(u64, f64)> = updates.into_iter().filter(|&(j, _)| j < dim).collect();
+        let keys: Vec<u64> = keys.into_iter().filter(|&j| j < dim).collect();
         let got = with_ps(servers, 4, move |ctx, m| {
             let seed = 9;
             let init = InitKind::Uniform { lo: -1.0, hi: 1.0, seed };
             let col = m.create_matrix(ctx, dim, 4, Partitioning::Column, init.clone());
             let rowp = m.create_matrix(ctx, dim, 4, Partitioning::Row, init);
-            (col.pull_row(ctx, row), rowp.pull_row(ctx, row))
+            let mut read = |h: &MatrixHandle| {
+                h.push_dense(ctx, row, &dense);
+                h.push_dense_range(ctx, row, lo, &dense[..(hi - lo) as usize]);
+                h.push_sparse(ctx, row, &updates);
+                (
+                    h.pull_cols(ctx, row, &keys),
+                    h.pull_range(ctx, row, lo, hi),
+                    h.pull_row(ctx, row),
+                )
+            };
+            (read(&col), read(&rowp))
         });
         prop_assert_eq!(got.0, got.1);
     }
