@@ -10,13 +10,13 @@
 //! separate process, exactly why Spark externalized it).
 
 use std::any::Any;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use ps2_simnet::fabric::{self, FabricPolicy, StaticRoutes};
 use ps2_simnet::hostprof::{self, Scope as ProfScope};
-use ps2_simnet::{ProcId, SimCtx, SimRuntime, SimTime, WireSize};
+use ps2_simnet::{Envelope, Proc, ProcId, SimCtx, SimRuntime, SimTime, StepCtx, WireSize};
 
 use crate::executor::WorkCtx;
 use crate::rdd::Rdd;
@@ -74,19 +74,26 @@ struct FetchBucket {
     reduce: usize,
 }
 
-/// The per-machine shuffle service loop.
-pub fn shuffle_service_main(ctx: &mut SimCtx) {
-    // (shuffle id, reduce partition) -> map partition -> (block, bytes).
-    // The inner key makes re-puts from retried map tasks idempotent.
-    type Blocks = std::collections::BTreeMap<usize, (Arc<dyn Any + Send + Sync>, u64)>;
-    let mut store: HashMap<(u64, usize), Blocks> = HashMap::new();
-    loop {
-        let env = ctx.recv();
+/// Map partition -> (block, bytes) of one reduce partition of one shuffle.
+/// Keyed by map partition, so re-puts from retried map tasks are idempotent.
+type Blocks = BTreeMap<usize, (Arc<dyn Any + Send + Sync>, u64)>;
+
+/// The per-machine shuffle service: a store of map output blocks answering
+/// puts, fetches and clears. Each request is answered in the step that
+/// delivers it, so the service is an agent with no OS thread.
+#[derive(Default)]
+struct ShuffleService {
+    /// (shuffle id, reduce partition) -> its blocks.
+    store: HashMap<(u64, usize), Blocks>,
+}
+
+impl Proc for ShuffleService {
+    fn on_message(&mut self, ctx: &mut StepCtx<'_>, env: Envelope) {
         match env.tag {
             tags::PUT_BUCKETS => {
                 let put: &PutBuckets = env.downcast_ref();
                 for (r, (block, bytes)) in put.buckets.iter().zip(&put.bucket_bytes).enumerate() {
-                    store
+                    self.store
                         .entry((put.shuffle, r))
                         .or_default()
                         .insert(put.map_part, (Arc::clone(block), *bytes));
@@ -95,7 +102,8 @@ pub fn shuffle_service_main(ctx: &mut SimCtx) {
             }
             tags::FETCH_BUCKET => {
                 let fetch: &FetchBucket = env.downcast_ref();
-                let entries = store
+                let entries = self
+                    .store
                     .get(&(fetch.shuffle, fetch.reduce))
                     .cloned()
                     .unwrap_or_default();
@@ -106,7 +114,7 @@ pub fn shuffle_service_main(ctx: &mut SimCtx) {
             }
             tags::CLEAR => {
                 let shuffle: &u64 = env.downcast_ref();
-                store.retain(|(s, _), _| s != shuffle);
+                self.store.retain(|(s, _), _| s != shuffle);
                 ctx.reply(&env, (), 8);
             }
             other => panic!(
@@ -126,7 +134,7 @@ pub fn shuffle_service_main(ctx: &mut SimCtx) {
 /// Deploy one shuffle service per executor machine.
 pub fn deploy_shuffle_services(sim: &mut SimRuntime, executors: usize) -> Vec<ProcId> {
     (0..executors)
-        .map(|i| sim.spawn_daemon(&format!("shuffle-{i}"), shuffle_service_main))
+        .map(|i| sim.spawn_agent_daemon(&format!("shuffle-{i}"), ShuffleService::default()))
         .collect()
 }
 

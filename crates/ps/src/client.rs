@@ -997,10 +997,9 @@ impl MatrixHandle {
     /// Co-located: runs like [`MatrixHandle::dot`] — no server↔server bytes.
     /// Misaligned: each of `self`'s servers fetches the matching remote
     /// segments before multiplying, paying the shuffle the paper's Figure 4
-    /// warns about. Requests are issued sequentially to keep server↔server
-    /// fetches acyclic. Retries re-resolve the *local* slot; a remote server
-    /// dying mid-fetch is out of scope for client-side recovery (the local
-    /// server blocks on it without a deadline).
+    /// warns about; it keeps serving while its fetches are out. Retries
+    /// re-resolve the *local* slot only: a remote server dying mid-fetch
+    /// leaves the op parked until the client's retries give up.
     pub fn cross_dot(
         &self,
         ctx: &mut SimCtx,
@@ -1030,8 +1029,8 @@ impl MatrixHandle {
     }
 
     /// `self[dst_row] = self[dst_row] op other[src_row]`, handling
-    /// misaligned layouts by server↔server fetches (sequential, see
-    /// [`MatrixHandle::cross_dot`]).
+    /// misaligned layouts by server↔server fetches (see
+    /// [`MatrixHandle::cross_dot`]); a retried request is applied once.
     pub fn cross_elem(
         &self,
         ctx: &mut SimCtx,

@@ -410,10 +410,10 @@ pub(crate) struct RestoreReq {
 
 // ---- storage process payloads ----------------------------------------------
 
-/// A server's snapshot: every shard's segments. Stored by the storage
+/// A server's snapshot: every shard's values. Stored by the storage
 /// process as an opaque value.
 pub(crate) struct Snapshot {
-    pub shards: Vec<(MatrixId, Vec<Vec<Vec<f64>>>)>,
+    pub shards: Vec<(MatrixId, Vec<f64>)>,
     pub bytes: u64,
 }
 

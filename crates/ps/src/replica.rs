@@ -31,7 +31,7 @@ use std::any::Any;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use ps2_simnet::{Envelope, ProcId};
+use ps2_simnet::{Envelope, ProcId, SimTime};
 
 use crate::plan::MatrixId;
 
@@ -238,6 +238,25 @@ enum FanDone {
     /// A write's replica refresh: release the replies waiting on it, and
     /// forget the write's dedup key `op` (a retry of it no longer waits).
     Write { op: (MatrixId, u64) },
+    /// A request whose handler needs other processes' replies (a peer's
+    /// segments, the storage process): its first phase, which started at
+    /// `started`, sent the requests; the server resumes it once every reply
+    /// is in. A write (`op` set) acks its retried duplicates after that.
+    Resume {
+        request: Envelope,
+        op: Option<(MatrixId, u64)>,
+        started: SimTime,
+    },
+}
+
+impl FanDone {
+    /// The dedup key of the write this fan holds up, if any.
+    fn op(&self) -> Option<(MatrixId, u64)> {
+        match *self {
+            FanDone::Write { op } | FanDone::Resume { op: Some(op), .. } => Some(op),
+            _ => None,
+        }
+    }
 }
 
 struct Fan {
@@ -245,6 +264,8 @@ struct Fan {
     done: FanDone,
     /// Deferred replies (keys of [`Fanouts::deferred`]) waiting on this fan.
     waiters: Vec<u64>,
+    /// The replies received so far (a resumed request reads them).
+    replies: Vec<Envelope>,
 }
 
 /// A client reply held until the replica fan-outs it depends on complete.
@@ -255,16 +276,18 @@ struct Deferred {
     fans_left: usize,
 }
 
-/// Server-wide bookkeeping of replica fan-outs in flight: which peer acks
-/// are outstanding, and which client replies wait for them.
+/// Server-wide bookkeeping of the requests a server sent and awaits
+/// replies to — replica fan-outs and the peer or storage requests of parked
+/// split-phase handlers — and of the client replies held until they
+/// complete.
 #[derive(Default)]
 pub(crate) struct Fanouts {
     next_id: u64,
-    /// Correlation id of each outstanding REPLICA request → its fan.
+    /// Correlation id of each outstanding request → its fan.
     by_corr: HashMap<u64, u64>,
     fans: HashMap<u64, Fan>,
-    /// Writes whose refresh is still in flight, by dedup key: a retried
-    /// duplicate acks only once the original's refresh completed.
+    /// Writes whose refresh (or split-phase apply) is still in flight, by
+    /// dedup key: a retried duplicate acks only once the original completed.
     by_op: HashMap<(MatrixId, u64), u64>,
     deferred: HashMap<u64, Deferred>,
 }
@@ -277,13 +300,22 @@ pub(crate) enum AckOutcome {
     Hint { id: MatrixId, row: u32 },
     /// A write's refresh finished: send these held replies.
     Release(Vec<(Envelope, Box<dyn Any + Send>, u64)>),
+    /// A parked request's replies are all in, in the order it sent the
+    /// requests. Resume it, then send `release`: the held acks of its
+    /// retried duplicates.
+    Resume {
+        request: Envelope,
+        started: SimTime,
+        replies: Vec<Envelope>,
+        release: Vec<(Envelope, Box<dyn Any + Send>, u64)>,
+    },
 }
 
 impl Fanouts {
     fn open(&mut self, acks: usize, done: FanDone) -> u64 {
         self.next_id += 1;
         let id = self.next_id;
-        if let FanDone::Write { op } = done {
+        if let Some(op) = done.op() {
             self.by_op.insert(op, id);
         }
         self.fans.insert(
@@ -292,6 +324,7 @@ impl Fanouts {
                 acks_left: acks,
                 done,
                 waiters: Vec::new(),
+                replies: Vec::new(),
             },
         );
         id
@@ -308,12 +341,31 @@ impl Fanouts {
         self.open(acks, FanDone::Write { op })
     }
 
+    /// Park `request` (dedup key `op` if a write) until `acks` replies
+    /// are in.
+    pub(crate) fn park(
+        &mut self,
+        request: Envelope,
+        op: Option<(MatrixId, u64)>,
+        started: SimTime,
+        acks: usize,
+    ) -> u64 {
+        self.open(
+            acks,
+            FanDone::Resume {
+                request,
+                op,
+                started,
+            },
+        )
+    }
+
     /// Expect one ack with correlation id `corr` for fan `fan`.
     pub(crate) fn track(&mut self, corr: u64, fan: u64) {
         self.by_corr.insert(corr, fan);
     }
 
-    /// The in-flight refresh of write `op`, if any.
+    /// The in-flight refresh or split-phase apply of write `op`, if any.
     pub(crate) fn write_in_flight(&self, op: (MatrixId, u64)) -> Option<u64> {
         self.by_op.get(&op).copied()
     }
@@ -346,33 +398,59 @@ impl Fanouts {
         );
     }
 
-    /// Account one peer ack.
-    pub(crate) fn on_ack(&mut self, corr: u64) -> AckOutcome {
-        let Some(fan_id) = self.by_corr.remove(&corr) else {
+    /// Account one reply to a request this server sent.
+    pub(crate) fn on_reply(&mut self, reply: Envelope) -> AckOutcome {
+        let Some(fan_id) = self.by_corr.remove(&reply.corr) else {
             return AckOutcome::Pending;
         };
         let fan = self.fans.get_mut(&fan_id).expect("tracked fan exists");
+        fan.replies.push(reply);
         fan.acks_left -= 1;
         if fan.acks_left > 0 {
             return AckOutcome::Pending;
         }
         let fan = self.fans.remove(&fan_id).expect("fan exists");
+        let release = match fan.done.op() {
+            Some(op) => self.release(op, fan.waiters),
+            None => Vec::new(),
+        };
         match fan.done {
             FanDone::Hint { id, row } => AckOutcome::Hint { id, row },
-            FanDone::Write { op } => {
-                self.by_op.remove(&op);
-                let mut ready = Vec::new();
-                for w in fan.waiters {
-                    let d = self.deferred.get_mut(&w).expect("waiter exists");
-                    d.fans_left -= 1;
-                    if d.fans_left == 0 {
-                        let d = self.deferred.remove(&w).expect("waiter exists");
-                        ready.push((d.request, d.reply, d.bytes));
-                    }
+            FanDone::Write { .. } => AckOutcome::Release(release),
+            FanDone::Resume {
+                request, started, ..
+            } => {
+                // Correlation ids grow in send order.
+                let mut replies = fan.replies;
+                replies.sort_unstable_by_key(|r| r.corr);
+                AckOutcome::Resume {
+                    request,
+                    started,
+                    replies,
+                    release,
                 }
-                AckOutcome::Release(ready)
             }
         }
+    }
+
+    /// Write `op` completed: forget its dedup key and collect the replies
+    /// that no longer wait on anything.
+    fn release(
+        &mut self,
+        op: (MatrixId, u64),
+        waiters: Vec<u64>,
+    ) -> Vec<(Envelope, Box<dyn Any + Send>, u64)> {
+        self.by_op.remove(&op);
+        let mut ready = Vec::new();
+        for w in waiters {
+            let d = self.deferred.get_mut(&w).expect("waiter exists");
+            d.fans_left -= 1;
+            if d.fans_left == 0 {
+                let d = self.deferred.remove(&w).expect("waiter exists");
+                ready.push((d.request, d.reply, d.bytes));
+            }
+        }
+        ready
     }
 }
 

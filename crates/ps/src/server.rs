@@ -4,7 +4,7 @@ use std::any::Any;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
-use ps2_simnet::{Envelope, Proc, ProcId, SimCtx, SimRuntime, SimTime, StepCtx};
+use ps2_simnet::{Envelope, Proc, ProcId, SimRuntime, SimTime, StepCtx};
 
 use crate::plan::{MatrixId, PartitionPlan, PlanKind};
 use crate::protocol::{
@@ -43,12 +43,16 @@ struct Shard {
     /// Column plans: the ranges this server owns, column order.
     /// Row plans: one pseudo-range `(0, dim)` per owned row.
     ranges: Vec<(u64, u64)>,
+    /// Where each range starts within a row slot's values, plus the row
+    /// width as the last entry.
+    starts: Vec<usize>,
     /// Row plans only: which rows the pseudo-ranges belong to.
     owned_rows: Vec<u32>,
-    /// `data[row_slot][range_idx]` → dense segment.
-    /// Column plans: `row_slot` is the row index (all rows present).
-    /// Row plans: `row_slot` indexes `owned_rows`, with one range.
-    data: Vec<Vec<Vec<f64>>>,
+    /// Every held row's values in one allocation, row slot after row slot,
+    /// each row slot's ranges back to back. Column plans: the row slot is
+    /// the row index (all rows present). Row plans: it indexes
+    /// `owned_rows`.
+    data: Vec<f64>,
     /// Row plans on a fleet of two or more: hot-row replication state.
     repl: Option<Box<RowReplication>>,
 }
@@ -60,48 +64,48 @@ impl Shard {
         init: &InitKind,
         fleet: &Arc<Vec<ProcId>>,
     ) -> Shard {
-        match &plan.kind {
-            PlanKind::Column { .. } => {
-                let ranges = plan.ranges_of(slot);
-                let data = (0..plan.rows)
-                    .map(|row| {
-                        ranges
-                            .iter()
-                            .map(|&(lo, hi)| (lo..hi).map(|c| init_value(init, row, c)).collect())
-                            .collect()
-                    })
-                    .collect();
-                Shard {
-                    plan,
-                    ranges,
-                    owned_rows: Vec::new(),
-                    data,
-                    repl: None,
-                }
-            }
-            &PlanKind::Row { n_slots } => {
-                let owned_rows: Vec<u32> = (0..plan.rows)
+        let (ranges, owned_rows, repl) = match plan.kind {
+            PlanKind::Column { .. } => (plan.ranges_of(slot), Vec::new(), None),
+            PlanKind::Row { n_slots } => (
+                vec![(0, plan.dim)],
+                (0..plan.rows)
                     .filter(|&r| plan.row_owner(r) == slot)
-                    .collect();
-                let data = owned_rows
-                    .iter()
-                    .map(|&row| vec![(0..plan.dim).map(|c| init_value(init, row, c)).collect()])
-                    .collect();
-                let dim = plan.dim;
-                Shard {
-                    plan,
-                    ranges: vec![(0, dim)],
-                    owned_rows,
-                    data,
-                    repl: RowReplication::new(Arc::clone(fleet), slot, n_slots).map(Box::new),
-                }
+                    .collect(),
+                RowReplication::new(Arc::clone(fleet), slot, n_slots).map(Box::new),
+            ),
+        };
+        let mut starts = vec![0];
+        for &(lo, hi) in &ranges {
+            starts.push(starts[starts.len() - 1] + (hi - lo) as usize);
+        }
+        let held_rows: Vec<u32> = match plan.kind {
+            PlanKind::Column { .. } => (0..plan.rows).collect(),
+            PlanKind::Row { .. } => owned_rows.clone(),
+        };
+        let mut data = Vec::with_capacity(held_rows.len() * starts[ranges.len()]);
+        for &row in &held_rows {
+            for &(lo, hi) in &ranges {
+                data.extend((lo..hi).map(|c| init_value(init, row, c)));
             }
+        }
+        Shard {
+            plan,
+            ranges,
+            starts,
+            owned_rows,
+            data,
+            repl,
         }
     }
 
-    /// Resolve a row to its slot in `data`, or `None` when this server
-    /// holds no part of it. `owned_rows` is ascending by construction, so
-    /// row plans binary-search it.
+    /// Values per row slot.
+    fn width(&self) -> usize {
+        self.starts[self.ranges.len()]
+    }
+
+    /// Resolve a row to its row slot, or `None` when this server holds no
+    /// part of it. `owned_rows` is ascending by construction, so row plans
+    /// binary-search it.
     fn try_slot(&self, row: u32) -> Option<usize> {
         match self.plan.kind {
             PlanKind::Column { .. } => Some(row as usize),
@@ -116,31 +120,48 @@ impl Shard {
             .unwrap_or_else(|| panic!("row {row} not owned by this server"))
     }
 
-    /// Index of the range containing `col`.
-    fn range_of(&self, col: u64) -> (usize, usize) {
+    /// A row slot's values, every range back to back.
+    fn row(&self, slot: usize) -> &[f64] {
+        let w = self.width();
+        &self.data[slot * w..(slot + 1) * w]
+    }
+
+    fn row_mut(&mut self, slot: usize) -> &mut [f64] {
+        let w = self.width();
+        &mut self.data[slot * w..(slot + 1) * w]
+    }
+
+    /// A row slot's values in range `ri`.
+    fn seg(&self, slot: usize, ri: usize) -> &[f64] {
+        &self.row(slot)[self.starts[ri]..self.starts[ri + 1]]
+    }
+
+    /// A row slot's values as one vector per range, the shape replies and
+    /// replicas carry.
+    fn seg_vecs(&self, slot: usize) -> Vec<Vec<f64>> {
+        (0..self.ranges.len())
+            .map(|ri| self.seg(slot, ri).to_vec())
+            .collect()
+    }
+
+    /// Index of `col` of `row` in `data`.
+    fn index(&self, row: u32, col: u64) -> usize {
+        let slot = self.slot(row);
         for (i, &(lo, hi)) in self.ranges.iter().enumerate() {
             if col >= lo && col < hi {
-                return (i, (col - lo) as usize);
+                return slot * self.width() + self.starts[i] + (col - lo) as usize;
             }
         }
         panic!("column {col} not owned by this server");
     }
 
     fn get(&self, row: u32, col: u64) -> f64 {
-        let slot = self.slot(row);
-        let (ri, off) = self.range_of(col);
-        self.data[slot][ri][off]
+        self.data[self.index(row, col)]
     }
 
     fn add(&mut self, row: u32, col: u64, delta: f64) {
-        let slot = self.slot(row);
-        let (ri, off) = self.range_of(col);
-        self.data[slot][ri][off] += delta;
-    }
-
-    fn owned_cols(&self) -> u64 {
-        let per_row: u64 = self.ranges.iter().map(|&(lo, hi)| hi - lo).sum();
-        per_row
+        let i = self.index(row, col);
+        self.data[i] += delta;
     }
 }
 
@@ -155,6 +176,7 @@ impl Shard {
 /// server starts with an empty log, so an update that was applied by the
 /// dead server *and* retried against the replacement lands twice; that
 /// bounded double-push window is the documented recovery tolerance.
+#[derive(Default)]
 struct OpLog {
     seen: HashSet<(MatrixId, u64)>,
     order: VecDeque<(MatrixId, u64)>,
@@ -163,13 +185,6 @@ struct OpLog {
 const OP_LOG_CAP: usize = 4096;
 
 impl OpLog {
-    fn new() -> OpLog {
-        OpLog {
-            seen: HashSet::new(),
-            order: VecDeque::new(),
-        }
-    }
-
     /// True when `(id, op_id)` was already applied; records it otherwise.
     fn check_and_record(&mut self, id: MatrixId, op_id: u64) -> bool {
         let key = (id, op_id);
@@ -229,150 +244,20 @@ fn mutation(tag: u32, payload: &dyn Any) -> Option<((MatrixId, u64), &[u32])> {
             let r: &PushBlockReq = cast(tag, payload);
             ((r.id, r.op_id), &r.rows[..])
         }
-        tags::CROSS_ELEM => {
-            let r: &CrossElemReq = cast(tag, payload);
-            ((r.dst_id, r.op_id), from_ref(&r.dst_row))
-        }
         _ => return None,
     })
 }
 
-/// The slice of a simulation context the request handlers need, so one
-/// handler chain ([`ServerState`]) serves both server flavors: the classic
-/// thread server ([`ps_server_main`], blocking `recv` loop on a [`SimCtx`])
-/// and the steppable [`PsServerAgent`] (stepped inline on a [`StepCtx`], no
-/// OS thread — the flavor serving scenarios use to stand up large fleets).
-pub(crate) trait ServerCtx {
-    fn id(&self) -> ProcId;
-    fn now(&self) -> SimTime;
-    fn charge_flops(&mut self, flops: u64);
-    fn charge_mem(&mut self, bytes: u64);
-    fn metric_add(&mut self, name: &str, delta: u64);
-    fn metric_observe(&mut self, name: &str, dt: SimTime);
-    fn trace_mark_with(&mut self, label: &'static str, payload: u64);
-    fn op_label(&mut self, label: &'static str);
-    fn op_label_clear(&mut self);
-    fn reply_boxed(&mut self, request: &Envelope, payload: Box<dyn Any + Send>, bytes: u64);
-    /// Non-blocking request to a peer server. Its reply comes back through
-    /// the server's own message loop ([`ServerState::on_message`]); replica
-    /// installs and refreshes use it, so both flavors run them alike.
-    fn send_request<P: Any + Send>(&mut self, dst: ProcId, tag: u32, payload: P, bytes: u64)
-        -> u64;
-    /// Blocking mid-request RPC (cross-matrix segment fetches, checkpoint
-    /// storage I/O). Only the thread server supports it; the steppable
-    /// server panics, which is fine for serving fleets that only see
-    /// CREATE/PULL-family traffic.
-    fn call<P: Any + Send>(&mut self, dst: ProcId, tag: u32, payload: P, bytes: u64) -> Envelope;
-}
-
-impl ServerCtx for SimCtx {
-    fn id(&self) -> ProcId {
-        SimCtx::id(self)
-    }
-    fn now(&self) -> SimTime {
-        SimCtx::now(self)
-    }
-    fn charge_flops(&mut self, flops: u64) {
-        SimCtx::charge_flops(self, flops)
-    }
-    fn charge_mem(&mut self, bytes: u64) {
-        SimCtx::charge_mem(self, bytes)
-    }
-    fn metric_add(&mut self, name: &str, delta: u64) {
-        SimCtx::metric_add(self, name, delta)
-    }
-    fn metric_observe(&mut self, name: &str, dt: SimTime) {
-        SimCtx::metric_observe(self, name, dt)
-    }
-    fn trace_mark_with(&mut self, label: &'static str, payload: u64) {
-        SimCtx::trace_mark_with(self, label, payload)
-    }
-    fn op_label(&mut self, label: &'static str) {
-        SimCtx::op_label(self, label)
-    }
-    fn op_label_clear(&mut self) {
-        SimCtx::op_label_clear(self)
-    }
-    fn reply_boxed(&mut self, request: &Envelope, payload: Box<dyn Any + Send>, bytes: u64) {
-        SimCtx::reply_boxed(self, request, payload, bytes)
-    }
-    fn send_request<P: Any + Send>(
-        &mut self,
-        dst: ProcId,
-        tag: u32,
-        payload: P,
-        bytes: u64,
-    ) -> u64 {
-        SimCtx::send_request(self, dst, tag, payload, bytes)
-    }
-    fn call<P: Any + Send>(&mut self, dst: ProcId, tag: u32, payload: P, bytes: u64) -> Envelope {
-        SimCtx::call(self, dst, tag, payload, bytes)
-    }
-}
-
-impl ServerCtx for StepCtx<'_> {
-    fn id(&self) -> ProcId {
-        StepCtx::id(self)
-    }
-    fn now(&self) -> SimTime {
-        StepCtx::now(self)
-    }
-    fn charge_flops(&mut self, flops: u64) {
-        StepCtx::charge_flops(self, flops)
-    }
-    fn charge_mem(&mut self, bytes: u64) {
-        StepCtx::charge_mem(self, bytes)
-    }
-    fn metric_add(&mut self, name: &str, delta: u64) {
-        StepCtx::metric_add(self, name, delta)
-    }
-    fn metric_observe(&mut self, name: &str, dt: SimTime) {
-        StepCtx::metric_observe(self, name, dt)
-    }
-    fn trace_mark_with(&mut self, label: &'static str, payload: u64) {
-        StepCtx::trace_mark_with(self, label, payload)
-    }
-    fn op_label(&mut self, label: &'static str) {
-        StepCtx::op_label(self, label)
-    }
-    fn op_label_clear(&mut self) {
-        StepCtx::op_label_clear(self)
-    }
-    fn reply_boxed(&mut self, request: &Envelope, payload: Box<dyn Any + Send>, bytes: u64) {
-        StepCtx::reply_boxed(self, request, payload, bytes)
-    }
-    fn send_request<P: Any + Send>(
-        &mut self,
-        dst: ProcId,
-        tag: u32,
-        payload: P,
-        bytes: u64,
-    ) -> u64 {
-        StepCtx::send_request(self, dst, tag, payload, bytes)
-    }
-    fn call<P: Any + Send>(
-        &mut self,
-        _dst: ProcId,
-        tag: u32,
-        _payload: P,
-        _bytes: u64,
-    ) -> Envelope {
-        panic!(
-            "ps-server (steppable): op tag {} ({}) needs a blocking mid-request \
-             RPC, which only the thread server (ps_server_main) supports",
-            tag,
-            tags::name(tag)
-        );
-    }
-}
-
-/// Everything one PS server holds. Both flavors feed every delivered
-/// message to [`ServerState::on_message`], so they share one handler chain,
-/// including hot-row replication ([`crate::replica`]).
+/// Everything one PS server holds. [`PsServerAgent`] feeds every delivered
+/// message to [`ServerState::on_message`]: requests, and the replies to the
+/// requests the server itself sent (replica installs and refreshes, segment
+/// fetches of cross-matrix ops, checkpoint storage I/O).
+#[derive(Default)]
 struct ServerState {
     shards: HashMap<MatrixId, Shard>,
     oplog: OpLog,
-    /// Replica fan-outs in flight and the client replies waiting on them.
+    /// Requests this server sent and awaits replies to, and the client
+    /// replies and parked split-phase requests waiting on them.
     fanouts: Fanouts,
     /// Rows promoted while handling the current request. They are
     /// installed on the peers once its reply is out, so the read that
@@ -387,25 +272,15 @@ fn replica_bytes(segs: &[Vec<f64>]) -> u64 {
 }
 
 impl ServerState {
-    fn new() -> ServerState {
-        ServerState {
-            shards: HashMap::new(),
-            oplog: OpLog::new(),
-            fanouts: Fanouts::default(),
-            to_install: Vec::new(),
-        }
-    }
-
-    /// Serve one delivered message: a peer's replica ack, or a request.
+    /// Serve one delivered message: a reply to a request this server sent,
+    /// or a request.
     ///
     /// Each request records its queue time (arrival → dequeue: how long it
     /// sat behind earlier work) and service time (dequeue → reply sent)
     /// into per-variant histograms `ps.server.{op}.queue` / `.service`.
-    fn on_message<C: ServerCtx>(&mut self, ctx: &mut C, env: Envelope) {
+    fn on_message(&mut self, ctx: &mut StepCtx<'_>, env: Envelope) {
         if env.is_reply() {
-            // Servers only send non-blocking requests for replica fan-outs;
-            // blocking `call`s consume their own replies.
-            self.on_ack(ctx, env.corr);
+            self.on_reply(ctx, env);
             return;
         }
         let op = tags::name(env.tag);
@@ -414,17 +289,27 @@ impl ServerState {
         // Tag the handler's compute charges with the op so trace analysis
         // can break server busy time down by request kind.
         ctx.op_label(op);
-        self.handle(ctx, env);
+        let parked = self.handle(ctx, env, t0);
         ctx.op_label_clear();
         // Per-server load counter: the windowed deltas of these feed the
         // watchdog's Gini skew detector across the server fleet.
         let served = format!("ps.server.p{}.served", ctx.id().0);
         ctx.metric_add(&served, 1);
         ctx.metric_observe(&format!("ps.server.{op}.queue"), queue);
-        ctx.metric_observe(&format!("ps.server.{op}.service"), ctx.now() - t0);
+        if !parked {
+            ctx.metric_observe(&format!("ps.server.{op}.service"), ctx.now() - t0);
+        }
     }
 
-    fn handle<C: ServerCtx>(&mut self, ctx: &mut C, env: Envelope) {
+    /// Handle one request; true when it parked (see
+    /// [`ServerState::start_split`]).
+    fn handle(&mut self, ctx: &mut StepCtx<'_>, env: Envelope, t0: SimTime) -> bool {
+        if matches!(
+            env.tag,
+            tags::CROSS_DOT | tags::CROSS_ELEM | tags::CHECKPOINT | tags::RESTORE
+        ) {
+            return self.start_split(ctx, env, t0);
+        }
         let mut waits = Vec::new();
         let (reply, bytes) = if env.tag == tags::ENVELOPE {
             // The coalescing container: run each sub-request as if it had
@@ -459,14 +344,126 @@ impl ServerState {
         for (id, row) in std::mem::take(&mut self.to_install) {
             self.install(ctx, id, row);
         }
+        false
+    }
+
+    /// First phase of a request whose handler needs other processes:
+    /// CROSS_DOT/CROSS_ELEM fetch the segments of misaligned pieces from
+    /// their peers (FETCH_SEG), CHECKPOINT stores a snapshot (STORE_PUT)
+    /// and RESTORE loads one (STORE_GET). The requests go out, and the
+    /// request parks in `fanouts` until their replies come back through
+    /// the message loop ([`ServerState::resume`]); meanwhile the server
+    /// keeps serving. With nothing to wait for (co-located pieces) it runs
+    /// to completion here. Returns whether it parked.
+    fn start_split(&mut self, ctx: &mut StepCtx<'_>, env: Envelope, started: SimTime) -> bool {
+        let mut op = None;
+        let corrs: Vec<u64> = match env.tag {
+            tags::CROSS_DOT => {
+                let r: &CrossDotReq = env.downcast_ref();
+                fetch_remote(ctx, r.remote_id, r.remote_row, &r.pieces, r.value_bytes)
+            }
+            tags::CROSS_ELEM => {
+                let r: &CrossElemReq = env.downcast_ref();
+                let key = (r.dst_id, r.op_id);
+                if self.oplog.check_and_record(key.0, key.1) {
+                    // A retry of a write this server already took:
+                    // acknowledge it once the original has applied.
+                    match self.fanouts.write_in_flight(key) {
+                        Some(fan) => self.fanouts.defer(env, Box::new(()), 8, &[fan]),
+                        None => ctx.reply(&env, (), 8),
+                    }
+                    return false;
+                }
+                op = Some(key);
+                fetch_remote(ctx, r.src_id, r.src_row, &r.pieces, r.value_bytes)
+            }
+            tags::CHECKPOINT => {
+                let r: &CheckpointReq = env.downcast_ref();
+                let (snapshot, bytes) = snapshot(ctx, &self.shards);
+                let put = StorePutReq {
+                    key: r.key,
+                    snapshot,
+                };
+                vec![ctx.send_request(r.storage, tags::STORE_PUT, put, bytes)]
+            }
+            tags::RESTORE => {
+                let r: &RestoreReq = env.downcast_ref();
+                let get = StoreGetReq { key: r.key };
+                vec![ctx.send_request(r.storage, tags::STORE_GET, get, 16)]
+            }
+            other => unreachable!("tag {other} has no split-phase handler"),
+        };
+        if corrs.is_empty() {
+            self.resume(ctx, env, Vec::new());
+            return false;
+        }
+        let fan = self.fanouts.park(env, op, started, corrs.len());
+        for corr in corrs {
+            self.fanouts.track(corr, fan);
+        }
+        true
+    }
+
+    /// Second phase of a split-phase request: `replies` answer the
+    /// requests its first phase sent, in send order. Run the handler and
+    /// reply to the client.
+    fn resume(&mut self, ctx: &mut StepCtx<'_>, request: Envelope, replies: Vec<Envelope>) {
+        let mut replies = replies.into_iter();
+        let me = ctx.id();
+        let (reply, bytes): (Box<dyn Any + Send>, u64) = match request.tag {
+            tags::CROSS_DOT => {
+                let r: &CrossDotReq = request.downcast_ref();
+                let (id, row) = (r.remote_id, r.remote_row);
+                let srcs = cross_sources(&self.shards, me, id, row, &r.pieces, &mut replies);
+                let shard = shard_of(&self.shards, r.local_id);
+                let mut acc = 0.0;
+                for (&(lo, hi, _), vals) in r.pieces.iter().zip(&srcs) {
+                    let local = (lo..hi).map(|c| shard.get(r.local_row, c));
+                    acc += local.zip(vals).map(|(l, rv)| l * rv).sum::<f64>();
+                    ctx.charge_flops(2 * (hi - lo));
+                }
+                (Box::new(acc), 16)
+            }
+            tags::CROSS_ELEM => {
+                let r: &CrossElemReq = request.downcast_ref();
+                let (id, row) = (r.src_id, r.src_row);
+                let srcs = cross_sources(&self.shards, me, id, row, &r.pieces, &mut replies);
+                let shard = shard_mut(&mut self.shards, r.dst_id);
+                for (&(lo, hi, _), vals) in r.pieces.iter().zip(&srcs) {
+                    for (i, sv) in vals.iter().enumerate() {
+                        let c = lo + i as u64;
+                        let cur = shard.get(r.dst_row, c);
+                        let new = r.op.apply(cur, *sv);
+                        shard.add(r.dst_row, c, new - cur);
+                    }
+                    ctx.charge_flops(2 * (hi - lo));
+                }
+                (Box::new(()), 8)
+            }
+            tags::CHECKPOINT => (Box::new(()), 8),
+            tags::RESTORE => {
+                let resp = replies.next().expect("storage replied").downcast();
+                let StoreGetResp::Found(snapshot) = resp else {
+                    return ctx.reply(&request, false, 8);
+                };
+                for (id, data) in &snapshot.shards {
+                    if let Some(shard) = self.shards.get_mut(id) {
+                        shard.data = data.clone();
+                    }
+                }
+                (Box::new(true), 8)
+            }
+            other => unreachable!("tag {other} has no split-phase handler"),
+        };
+        ctx.reply_boxed(&request, reply, bytes);
     }
 
     /// Dedup-then-execute for one request, bare or enveloped, keeping the
     /// replicas of promoted rows in step. Pushes onto `waits` the replica
     /// fan-outs the request's reply must wait for.
-    fn dispatch_one<C: ServerCtx>(
+    fn dispatch_one(
         &mut self,
-        ctx: &mut C,
+        ctx: &mut StepCtx<'_>,
         tag: u32,
         payload: &dyn Any,
         waits: &mut Vec<u64>,
@@ -501,7 +498,7 @@ impl ServerState {
     /// every peer holds; a row-plan peer serves its replica, or answers a
     /// miss so the client re-sends to the owner. Column plans hold every
     /// row, so they always answer [`ReplicaFlag::Owned`].
-    fn row_pull<C: ServerCtx>(&mut self, ctx: &mut C, req: &PullReq) -> (Box<dyn Any + Send>, u64) {
+    fn row_pull(&mut self, ctx: &mut StepCtx<'_>, req: &PullReq) -> (Box<dyn Any + Send>, u64) {
         let shard = shard_mut(&mut self.shards, req.id);
         let (segs, flag) = match shard.try_slot(req.row) {
             Some(slot) => {
@@ -522,7 +519,7 @@ impl ServerState {
                         self.to_install.push((req.id, req.row));
                     }
                 }
-                (shard.data[slot].clone(), flag)
+                (shard.seg_vecs(slot), flag)
             }
             None => match shard.repl.as_deref().and_then(|r| r.replica(req.row)) {
                 Some(segs) => (segs.to_vec(), ReplicaFlag::Replicated),
@@ -540,9 +537,9 @@ impl ServerState {
     /// A peer's install or refresh of one of its promoted rows. Dropped
     /// (and still acked) when the matrix is gone here: a write never waits
     /// on a server that cannot serve the row anyway.
-    fn store_replica<C: ServerCtx>(
+    fn store_replica(
         &mut self,
-        ctx: &mut C,
+        ctx: &mut StepCtx<'_>,
         req: &ReplicaReq,
     ) -> (Box<dyn Any + Send>, u64) {
         if let Some(repl) = self
@@ -559,9 +556,9 @@ impl ServerState {
 
     /// Ship the value of `rows` of `id` at `versions` to every peer under
     /// one new fan-out.
-    fn ship<C: ServerCtx>(
+    fn ship(
         &mut self,
-        ctx: &mut C,
+        ctx: &mut StepCtx<'_>,
         id: MatrixId,
         rows: &[(u32, u64)],
         open: impl FnOnce(&mut Fanouts, usize) -> u64,
@@ -575,7 +572,7 @@ impl ServerState {
             .collect();
         let fan = open(&mut self.fanouts, peers.len() * rows.len());
         for &(row, version) in rows {
-            let segs = Arc::new(shard.data[shard.slot(row)].clone());
+            let segs = Arc::new(shard.seg_vecs(shard.slot(row)));
             let bytes = replica_bytes(&segs);
             for &peer in &peers {
                 let req = ReplicaReq {
@@ -593,7 +590,7 @@ impl ServerState {
 
     /// Install newly promoted `row` of `id` on every peer; the owner hints
     /// it once all of them acked.
-    fn install<C: ServerCtx>(&mut self, ctx: &mut C, id: MatrixId, row: u32) {
+    fn install(&mut self, ctx: &mut StepCtx<'_>, id: MatrixId, row: u32) {
         let Some(version) = self
             .shards
             .get(&id)
@@ -614,9 +611,9 @@ impl ServerState {
     /// After write `key` to the `written` rows was applied: ship the new
     /// value of every promoted row it touched to every peer. Returns the
     /// fan-out the write's ack waits for, if any.
-    fn refresh<C: ServerCtx>(
+    fn refresh(
         &mut self,
-        ctx: &mut C,
+        ctx: &mut StepCtx<'_>,
         key: (MatrixId, u64),
         written: &[u32],
     ) -> Option<u64> {
@@ -637,9 +634,10 @@ impl ServerState {
         Some(self.ship(ctx, key.0, &rows, |f, acks| f.open_write(key, acks)))
     }
 
-    /// Account a peer's replica ack, and act on a completed fan-out.
-    fn on_ack<C: ServerCtx>(&mut self, ctx: &mut C, corr: u64) {
-        match self.fanouts.on_ack(corr) {
+    /// Account a reply to a request this server sent, and act on a
+    /// completed fan-out.
+    fn on_reply(&mut self, ctx: &mut StepCtx<'_>, reply: Envelope) {
+        match self.fanouts.on_reply(reply) {
             AckOutcome::Pending => {}
             AckOutcome::Hint { id, row } => {
                 if let Some(repl) = self.shards.get_mut(&id).and_then(|s| s.repl.as_deref_mut()) {
@@ -651,46 +649,46 @@ impl ServerState {
                     ctx.reply_boxed(&request, reply, bytes);
                 }
             }
+            AckOutcome::Resume {
+                request,
+                started,
+                replies,
+                release,
+            } => {
+                let op = tags::name(request.tag);
+                ctx.op_label(op);
+                self.resume(ctx, request, replies);
+                ctx.op_label_clear();
+                ctx.metric_observe(&format!("ps.server.{op}.service"), ctx.now() - started);
+                for (request, reply, bytes) in release {
+                    ctx.reply_boxed(&request, reply, bytes);
+                }
+            }
         }
     }
 }
 
-/// Steppable PS server: the same handler chain as [`ps_server_main`], run as
-/// an event-driven agent with no OS thread. Spawn one per server with
-/// [`ps2_simnet::SimRuntime::spawn_agent_daemon`]; it serves every
-/// non-blocking op (CREATE, PULL/PUSH and friends, coalesced ENVELOPEs,
-/// replica installs) and panics on the few ops that need mid-request RPCs
-/// (CROSS_*, CHECKPOINT, RESTORE).
+/// The PS server: stores shards and executes row- and column-access ops,
+/// as an event-driven agent with no OS thread. Spawn one per server with
+/// [`ps2_simnet::SimRuntime::spawn_agent_daemon`] (or [`deploy_ps`]). Ops
+/// that need replies from other processes — cross-matrix segment fetches,
+/// checkpoint storage I/O — run split-phase: the request parks until the
+/// replies come back through the message loop, and the server keeps
+/// serving meanwhile.
+#[derive(Default)]
 pub struct PsServerAgent {
     state: ServerState,
 }
 
-impl Default for PsServerAgent {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl PsServerAgent {
     pub fn new() -> PsServerAgent {
-        PsServerAgent {
-            state: ServerState::new(),
-        }
+        PsServerAgent::default()
     }
 }
 
 impl Proc for PsServerAgent {
     fn on_message(&mut self, ctx: &mut StepCtx<'_>, env: Envelope) {
         self.state.on_message(ctx, env);
-    }
-}
-
-/// The PS-server loop: stores shards, executes row- and column-access ops.
-pub fn ps_server_main(ctx: &mut SimCtx) {
-    let mut state = ServerState::new();
-    loop {
-        let env = ctx.recv();
-        state.on_message(ctx, env);
     }
 }
 
@@ -707,13 +705,12 @@ fn cast<T: 'static>(tag: u32, payload: &dyn Any) -> &T {
 /// Pure of reliability concerns: dedup happened in the caller, the reply is
 /// sent by the caller (so envelopes can collect many replies into one
 /// message).
-fn execute<C: ServerCtx>(
-    ctx: &mut C,
+fn execute(
+    ctx: &mut StepCtx<'_>,
     shards: &mut HashMap<MatrixId, Shard>,
     tag: u32,
     payload: &dyn Any,
 ) -> (Box<dyn Any + Send>, u64) {
-    let me = ctx.id();
     match tag {
         tags::CREATE => {
             let req: &CreateReq = cast(tag, payload);
@@ -723,7 +720,7 @@ fn execute<C: ServerCtx>(
             if let std::collections::hash_map::Entry::Vacant(e) = shards.entry(req.id) {
                 let shard = Shard::build(req.slot, Arc::clone(&req.plan), &req.init, &req.fleet);
                 // Materializing the shard touches every owned element.
-                ctx.charge_mem(shard.owned_cols() * shard.data.len() as u64 * 8);
+                ctx.charge_mem(shard.data.len() as u64 * 8);
                 e.insert(shard);
             }
             (Box::new(()), 8)
@@ -744,41 +741,31 @@ fn execute<C: ServerCtx>(
                     1,
                 );
             }
-            match &req.cols {
+            // A column list also scans its indices.
+            let (values, scan): (Vec<f64>, u64) = match &req.cols {
                 ColsSel::All => unreachable!("whole-row pulls are served by row_pull"),
-                ColsSel::Range(lo, hi) => {
-                    let values: Vec<f64> = (*lo..*hi).map(|c| shard.get(req.row, c)).collect();
-                    let n = values.len() as u64;
-                    ctx.charge_mem(n * 8);
-                    (Box::new(values), 16 + n * req.value_bytes)
-                }
-                ColsSel::List(cols) => {
-                    let values: Vec<f64> = cols.iter().map(|&c| shard.get(req.row, c)).collect();
-                    let n = values.len() as u64;
-                    ctx.charge_mem(n * 16);
-                    (Box::new(values), 16 + n * req.value_bytes)
-                }
-            }
+                ColsSel::Range(lo, hi) => ((*lo..*hi).map(|c| shard.get(req.row, c)).collect(), 8),
+                ColsSel::List(cols) => (cols.iter().map(|&c| shard.get(req.row, c)).collect(), 16),
+            };
+            let n = values.len() as u64;
+            ctx.charge_mem(n * scan);
+            (Box::new(values), 16 + n * req.value_bytes)
         }
         tags::PUSH => {
             let req: &PushReq = cast(tag, payload);
-            let id = req.id;
-            let row = req.row;
-            if shard_of(shards, id).plan.rows <= ROW_TOUCH_MAX_ROWS {
+            let (id, row) = (req.id, req.row);
+            let shard = shard_mut(shards, id);
+            if shard.plan.rows <= ROW_TOUCH_MAX_ROWS {
                 ctx.metric_add(&format!("ps.server.row_touch.m{}.r{}", id.0, row), 1);
             }
             match &req.data {
                 PushData::DenseSeg { lo, values } => {
-                    let values = Arc::clone(values);
-                    let shard = shard_mut(shards, id);
                     for (i, v) in values.iter().enumerate() {
                         shard.add(row, lo + i as u64, *v);
                     }
                     ctx.charge_flops(values.len() as u64);
                 }
                 PushData::Sparse(pairs) => {
-                    let pairs = Arc::clone(pairs);
-                    let shard = shard_mut(shards, id);
                     for &(c, v) in pairs.iter() {
                         shard.add(row, c, v);
                     }
@@ -795,19 +782,16 @@ fn execute<C: ServerCtx>(
                 AggKind::Max => f64::NEG_INFINITY,
                 _ => 0.0,
             };
-            let mut n = 0u64;
-            for seg in &shard.data[slot] {
-                n += seg.len() as u64;
-                for &v in seg {
-                    match req.kind {
-                        AggKind::Sum => acc += v,
-                        AggKind::Nnz => acc += if v != 0.0 { 1.0 } else { 0.0 },
-                        AggKind::Norm2Sq => acc += v * v,
-                        AggKind::Max => acc = acc.max(v),
-                    }
+            let row = shard.row(slot);
+            for &v in row {
+                match req.kind {
+                    AggKind::Sum => acc += v,
+                    AggKind::Nnz => acc += if v != 0.0 { 1.0 } else { 0.0 },
+                    AggKind::Norm2Sq => acc += v * v,
+                    AggKind::Max => acc = acc.max(v),
                 }
             }
-            ctx.charge_flops(n);
+            ctx.charge_flops(row.len() as u64);
             (Box::new(acc), 16)
         }
         tags::DOT => {
@@ -817,7 +801,8 @@ fn execute<C: ServerCtx>(
             let sb = shard.slot(req.row_b);
             let mut acc = 0.0;
             let mut n = 0u64;
-            for (a, b) in shard.data[sa].iter().zip(&shard.data[sb]) {
+            for ri in 0..shard.ranges.len() {
+                let (a, b) = (shard.seg(sa, ri), shard.seg(sb, ri));
                 n += a.len() as u64;
                 acc += a.iter().zip(b).map(|(x, y)| x * y).sum::<f64>();
             }
@@ -826,63 +811,40 @@ fn execute<C: ServerCtx>(
         }
         tags::AXPY => {
             let req: &AxpyReq = cast(tag, payload);
-            let (alpha, id, dst, src) = (req.alpha, req.id, req.dst_row, req.src_row);
-            let shard = shard_mut(shards, id);
-            let n = apply_axpy(shard, dst, src, alpha);
-            ctx.charge_flops(2 * n);
+            let shard = shard_mut(shards, req.id);
+            let src = shard.row(shard.slot(req.src_row)).to_vec();
+            let dst = shard.row_mut(shard.slot(req.dst_row));
+            for (d, s) in dst.iter_mut().zip(&src) {
+                *d += req.alpha * s;
+            }
+            ctx.charge_flops(2 * dst.len() as u64);
             (Box::new(()), 8)
         }
         tags::ELEM => {
             let req: &ElemReq = cast(tag, payload);
-            let (id, dst, a, b, op) = (req.id, req.dst_row, req.a_row, req.b_row, req.op);
-            let shard = shard_mut(shards, id);
-            let sa = shard.slot(a);
-            let sb = shard.slot(b);
-            let sd = shard.slot(dst);
-            let mut n = 0u64;
-            for ri in 0..shard.ranges.len() {
-                let av = shard.data[sa][ri].clone();
-                let bv = shard.data[sb][ri].clone();
-                let dv = &mut shard.data[sd][ri];
-                n += dv.len() as u64;
-                for i in 0..dv.len() {
-                    dv[i] = op.apply(av[i], bv[i]);
-                }
+            let shard = shard_mut(shards, req.id);
+            let av = shard.row(shard.slot(req.a_row)).to_vec();
+            let bv = shard.row(shard.slot(req.b_row)).to_vec();
+            let dv = shard.row_mut(shard.slot(req.dst_row));
+            for (d, (a, b)) in dv.iter_mut().zip(av.iter().zip(&bv)) {
+                *d = req.op.apply(*a, *b);
             }
-            ctx.charge_flops(n);
+            ctx.charge_flops(dv.len() as u64);
             (Box::new(()), 8)
         }
         tags::ZIP => {
             let req: &ZipReq = cast(tag, payload);
-            let f = Arc::clone(&req.f);
-            let rows = req.rows.clone();
-            let flops_per_elem = req.flops_per_elem;
-            let id = req.id;
-            let shard = shard_mut(shards, id);
-            let slots: Vec<usize> = rows.iter().map(|&r| shard.slot(r)).collect();
-            assert_unique(&slots);
-            let mut taken: Vec<Vec<Vec<f64>>> = slots
-                .iter()
-                .map(|&s| std::mem::take(&mut shard.data[s]))
-                .collect();
+            let shard = shard_mut(shards, req.id);
+            let slots: Vec<usize> = req.rows.iter().map(|&r| shard.slot(r)).collect();
+            let width = shard.width();
+            let mut taken = rows_mut(&mut shard.data, width, &slots);
             let mut n = 0u64;
-            for ri in 0..shard.ranges.len() {
-                let lo = shard.ranges[ri].0;
-                let mut segs: Vec<&mut [f64]> = taken
-                    .iter_mut()
-                    .map(|rowsegs| rowsegs[ri].as_mut_slice())
-                    .collect();
+            for (&(lo, _), w) in shard.ranges.iter().zip(shard.starts.windows(2)) {
+                let segs: Vec<&mut [f64]> = taken.iter_mut().map(|r| &mut r[w[0]..w[1]]).collect();
                 n += segs.first().map_or(0, |s| s.len() as u64);
-                let mut zs = ZipSegs {
-                    segs: std::mem::take(&mut segs),
-                    lo,
-                };
-                f(&mut zs);
+                (req.f)(&mut ZipSegs { segs, lo });
             }
-            for (s, rowsegs) in slots.iter().zip(taken) {
-                shard.data[*s] = rowsegs;
-            }
-            ctx.charge_flops(flops_per_elem * n);
+            ctx.charge_flops(req.flops_per_elem * n);
             (Box::new(()), 8)
         }
         tags::ZIP_MAP => {
@@ -897,30 +859,20 @@ fn execute<C: ServerCtx>(
         }
         tags::FILL => {
             let req: &FillReq = cast(tag, payload);
-            let (id, row, value) = (req.id, req.row, req.value);
-            let shard = shard_mut(shards, id);
-            let slot = shard.slot(row);
-            let mut n = 0u64;
-            for seg in &mut shard.data[slot] {
-                n += seg.len() as u64;
-                seg.fill(value);
-            }
-            ctx.charge_mem(n * 8);
+            let shard = shard_mut(shards, req.id);
+            let values = shard.row_mut(shard.slot(req.row));
+            values.fill(req.value);
+            ctx.charge_mem(values.len() as u64 * 8);
             (Box::new(()), 8)
         }
         tags::SCALE => {
             let req: &ScaleReq = cast(tag, payload);
-            let (id, row, alpha) = (req.id, req.row, req.alpha);
-            let shard = shard_mut(shards, id);
-            let slot = shard.slot(row);
-            let mut n = 0u64;
-            for seg in &mut shard.data[slot] {
-                n += seg.len() as u64;
-                for v in seg.iter_mut() {
-                    *v *= alpha;
-                }
+            let shard = shard_mut(shards, req.id);
+            let values = shard.row_mut(shard.slot(req.row));
+            for v in values.iter_mut() {
+                *v *= req.alpha;
             }
-            ctx.charge_flops(n);
+            ctx.charge_flops(values.len() as u64);
             (Box::new(()), 8)
         }
         tags::PULL_BLOCK => {
@@ -941,12 +893,10 @@ fn execute<C: ServerCtx>(
         }
         tags::PUSH_BLOCK => {
             let req: &PushBlockReq = cast(tag, payload);
-            let rows = Arc::clone(&req.rows);
-            let updates = Arc::clone(&req.updates);
             let shard = shard_mut(shards, req.id);
             let mut n = 0u64;
-            for (c, deltas) in updates.iter() {
-                for (&r, &d) in rows.iter().zip(deltas) {
+            for (c, deltas) in req.updates.iter() {
+                for (&r, &d) in req.rows.iter().zip(deltas) {
                     shard.add(r, *c, d);
                     n += 1;
                 }
@@ -962,157 +912,25 @@ fn execute<C: ServerCtx>(
             ctx.charge_mem(n * 8);
             (Box::new(values), 16 + n * req.value_bytes)
         }
-        tags::CROSS_DOT => {
-            let req: &CrossDotReq = cast(tag, payload);
-            let pieces = req.pieces.clone();
-            let (local_id, local_row, remote_id, remote_row, vb) = (
-                req.local_id,
-                req.local_row,
-                req.remote_id,
-                req.remote_row,
-                req.value_bytes,
-            );
-            let mut acc = 0.0;
-            for (lo, hi, remote) in pieces {
-                let remote_vals: Vec<f64> = if remote == me {
-                    (lo..hi)
-                        .map(|c| shard_of(shards, remote_id).get(remote_row, c))
-                        .collect()
-                } else {
-                    let fetch = FetchSegReq {
-                        id: remote_id,
-                        row: remote_row,
-                        lo,
-                        hi,
-                        value_bytes: vb,
-                    };
-                    ctx.call(remote, tags::FETCH_SEG, fetch, 48).downcast()
-                };
-                let shard = shard_of(shards, local_id);
-                let mut partial = 0.0;
-                for (i, rv) in remote_vals.iter().enumerate() {
-                    partial += shard.get(local_row, lo + i as u64) * rv;
-                }
-                ctx.charge_flops(2 * (hi - lo));
-                acc += partial;
-            }
-            (Box::new(acc), 16)
-        }
-        tags::CROSS_ELEM => {
-            let req: &CrossElemReq = cast(tag, payload);
-            let pieces = req.pieces.clone();
-            let (dst_id, dst_row, src_id, src_row, op, vb) = (
-                req.dst_id,
-                req.dst_row,
-                req.src_id,
-                req.src_row,
-                req.op,
-                req.value_bytes,
-            );
-            for (lo, hi, remote) in pieces {
-                let src_vals: Vec<f64> = if remote == me {
-                    (lo..hi)
-                        .map(|c| shard_of(shards, src_id).get(src_row, c))
-                        .collect()
-                } else {
-                    let fetch = FetchSegReq {
-                        id: src_id,
-                        row: src_row,
-                        lo,
-                        hi,
-                        value_bytes: vb,
-                    };
-                    ctx.call(remote, tags::FETCH_SEG, fetch, 48).downcast()
-                };
-                let shard = shard_mut(shards, dst_id);
-                for (i, sv) in src_vals.iter().enumerate() {
-                    let c = lo + i as u64;
-                    let cur = shard.get(dst_row, c);
-                    let new = op.apply(cur, *sv);
-                    shard.add(dst_row, c, new - cur);
-                }
-                ctx.charge_flops(2 * (hi - lo));
-            }
-            (Box::new(()), 8)
-        }
-        tags::CHECKPOINT => {
-            let req: &CheckpointReq = cast(tag, payload);
-            let (storage, key) = (req.storage, req.key);
-            let mut total = 0u64;
-            let shard_data: Vec<(MatrixId, Vec<Vec<Vec<f64>>>)> = shards
-                .iter()
-                .map(|(&id, sh)| {
-                    for row in &sh.data {
-                        for seg in row {
-                            total += seg.len() as u64;
-                        }
-                    }
-                    (id, sh.data.clone())
-                })
-                .collect();
-            let bytes = 32 + total * 8;
-            ctx.charge_mem(total * 8);
-            let snapshot = Arc::new(Snapshot {
-                shards: shard_data,
-                bytes,
-            });
-            let _ = ctx.call(
-                storage,
-                tags::STORE_PUT,
-                StorePutReq { key, snapshot },
-                bytes,
-            );
-            (Box::new(()), 8)
-        }
-        tags::RESTORE => {
-            let req: &RestoreReq = cast(tag, payload);
-            let (storage, key) = (req.storage, req.key);
-            let resp: StoreGetResp = ctx
-                .call(storage, tags::STORE_GET, StoreGetReq { key }, 16)
-                .downcast();
-            let restored = match resp {
-                StoreGetResp::Found(snapshot) => {
-                    for (id, data) in &snapshot.shards {
-                        if let Some(shard) = shards.get_mut(id) {
-                            shard.data = data.clone();
-                        }
-                    }
-                    true
-                }
-                StoreGetResp::Missing => false,
-            };
-            (Box::new(restored), 8)
-        }
         tags::PING => {
             // Liveness heartbeat: answer immediately. A server stuck in a
             // long op answers late, which the prober treats the same as any
             // slow reply; only a dead server never answers.
             (Box::new(()), 8)
         }
-        other => panic!("ps-server: unknown tag {other}"),
+        // Split-phase ops (CROSS_*, CHECKPOINT, RESTORE) arrive bare only.
+        other => panic!(
+            "ps-server: tag {other} ({}) is not served here",
+            tags::name(other)
+        ),
     }
-}
-
-fn apply_axpy(shard: &mut Shard, dst: u32, src: u32, alpha: f64) -> u64 {
-    let sd = shard.slot(dst);
-    let ss = shard.slot(src);
-    let mut n = 0u64;
-    for ri in 0..shard.ranges.len() {
-        let src_seg = shard.data[ss][ri].clone();
-        let dst_seg = &mut shard.data[sd][ri];
-        n += dst_seg.len() as u64;
-        for (d, s) in dst_seg.iter_mut().zip(&src_seg) {
-            *d += alpha * s;
-        }
-    }
-    n
 }
 
 /// The read-only fold behind ZIP_MAP and ZIP_ARGMAX: `f` sees the
 /// co-located segments of `rows` once per owned range and yields one
 /// partial per range, each `partial_bytes` on the wire.
-fn fold_segments<C: ServerCtx, T: Send + 'static>(
-    ctx: &mut C,
+fn fold_segments<T: Send + 'static>(
+    ctx: &mut StepCtx<'_>,
     shard: &Shard,
     rows: &[u32],
     flops_per_elem: u64,
@@ -1123,10 +941,7 @@ fn fold_segments<C: ServerCtx, T: Send + 'static>(
     let mut partials = Vec::with_capacity(shard.ranges.len());
     let mut n = 0u64;
     for (ri, &(lo, _)) in shard.ranges.iter().enumerate() {
-        let segs: Vec<&[f64]> = slots
-            .iter()
-            .map(|&s| shard.data[s][ri].as_slice())
-            .collect();
+        let segs: Vec<&[f64]> = slots.iter().map(|&s| shard.seg(s, ri)).collect();
         n += segs.first().map_or(0, |s| s.len() as u64);
         partials.push(f(&segs, lo));
     }
@@ -1135,12 +950,17 @@ fn fold_segments<C: ServerCtx, T: Send + 'static>(
     (Box::new(partials), bytes)
 }
 
-fn assert_unique(slots: &[usize]) {
-    for (i, a) in slots.iter().enumerate() {
-        for b in &slots[i + 1..] {
-            assert_ne!(a, b, "zip rows must be distinct");
-        }
+/// The rows at `slots` of row-major `data` (`width` values per row), as
+/// disjoint mutable slices in `slots` order.
+fn rows_mut<'a>(data: &'a mut [f64], width: usize, slots: &[usize]) -> Vec<&'a mut [f64]> {
+    if width == 0 {
+        return slots.iter().map(|_| <&mut [f64]>::default()).collect();
     }
+    let mut rows: Vec<Option<&mut [f64]>> = data.chunks_mut(width).map(Some).collect();
+    slots
+        .iter()
+        .map(|&s| rows[s].take().expect("zip rows must be distinct"))
+        .collect()
 }
 
 fn shard_of(shards: &HashMap<MatrixId, Shard>, id: MatrixId) -> &Shard {
@@ -1155,36 +975,102 @@ fn shard_mut(shards: &mut HashMap<MatrixId, Shard>, id: MatrixId) -> &mut Shard 
         .unwrap_or_else(|| panic!("matrix {id:?} not present on this server"))
 }
 
+/// The pieces' source values of a cross-matrix op, in piece order: read
+/// here for a local piece, else taken from the next of `fetched`, the
+/// FETCH_SEG replies in piece order.
+fn cross_sources(
+    shards: &HashMap<MatrixId, Shard>,
+    me: ProcId,
+    id: MatrixId,
+    row: u32,
+    pieces: &[(u64, u64, ProcId)],
+    fetched: &mut impl Iterator<Item = Envelope>,
+) -> Vec<Vec<f64>> {
+    pieces
+        .iter()
+        .map(|&(lo, hi, remote)| {
+            if remote == me {
+                let shard = shard_of(shards, id);
+                (lo..hi).map(|c| shard.get(row, c)).collect()
+            } else {
+                fetched
+                    .next()
+                    .expect("a reply per fetched piece")
+                    .downcast()
+            }
+        })
+        .collect()
+}
+
+/// Send a FETCH_SEG for every piece of `row` of `id` held by another
+/// server; returns the requests' correlation ids, in piece order.
+fn fetch_remote(
+    ctx: &mut StepCtx<'_>,
+    id: MatrixId,
+    row: u32,
+    pieces: &[(u64, u64, ProcId)],
+    value_bytes: u64,
+) -> Vec<u64> {
+    let me = ctx.id();
+    pieces
+        .iter()
+        .filter(|&&(_, _, remote)| remote != me)
+        .map(|&(lo, hi, remote)| {
+            let fetch = FetchSegReq {
+                id,
+                row,
+                lo,
+                hi,
+                value_bytes,
+            };
+            ctx.send_request(remote, tags::FETCH_SEG, fetch, 48)
+        })
+        .collect()
+}
+
+/// Copy every shard into a checkpoint snapshot; returns it with its wire
+/// size.
+fn snapshot(ctx: &mut StepCtx<'_>, shards: &HashMap<MatrixId, Shard>) -> (Arc<Snapshot>, u64) {
+    let shards: Vec<_> = shards
+        .iter()
+        .map(|(&id, sh)| (id, sh.data.clone()))
+        .collect();
+    let total: u64 = shards.iter().map(|(_, data)| data.len() as u64).sum();
+    ctx.charge_mem(total * 8);
+    let bytes = 32 + total * 8;
+    (Arc::new(Snapshot { shards, bytes }), bytes)
+}
+
 /// The checkpoint storage process ("reliable external storage", e.g. HDFS).
 /// Charges a disk-bandwidth cost per operation on top of the network cost of
 /// getting bytes to it.
-pub fn storage_main(disk_bytes_per_sec: f64) -> impl FnOnce(&mut SimCtx) {
-    move |ctx: &mut SimCtx| {
-        let mut store: HashMap<u64, Arc<Snapshot>> = HashMap::new();
-        loop {
-            let env = ctx.recv();
-            match env.tag {
-                tags::STORE_PUT => {
-                    let req: &StorePutReq = env.downcast_ref();
-                    let secs = req.snapshot.bytes as f64 / disk_bytes_per_sec;
-                    ctx.advance(SimTime::from_secs_f64(secs));
-                    store.insert(req.key, Arc::clone(&req.snapshot));
-                    ctx.reply(&env, (), 8);
-                }
-                tags::STORE_GET => {
-                    let req: &StoreGetReq = env.downcast_ref();
-                    match store.get(&req.key) {
-                        Some(snap) => {
-                            let secs = snap.bytes as f64 / disk_bytes_per_sec;
-                            ctx.advance(SimTime::from_secs_f64(secs));
-                            let bytes = snap.bytes;
-                            ctx.reply(&env, StoreGetResp::Found(Arc::clone(snap)), bytes);
-                        }
-                        None => ctx.reply(&env, StoreGetResp::Missing, 8),
-                    }
-                }
-                other => panic!("storage: unknown tag {other}"),
+struct StorageAgent {
+    disk_bytes_per_sec: f64,
+    store: HashMap<u64, Arc<Snapshot>>,
+}
+
+impl Proc for StorageAgent {
+    fn on_message(&mut self, ctx: &mut StepCtx<'_>, env: Envelope) {
+        let disk_time = |bytes| SimTime::from_secs_f64(bytes as f64 / self.disk_bytes_per_sec);
+        match env.tag {
+            tags::STORE_PUT => {
+                let req: &StorePutReq = env.downcast_ref();
+                ctx.advance(disk_time(req.snapshot.bytes));
+                self.store.insert(req.key, Arc::clone(&req.snapshot));
+                ctx.reply(&env, (), 8);
             }
+            tags::STORE_GET => {
+                let req: &StoreGetReq = env.downcast_ref();
+                match self.store.get(&req.key) {
+                    Some(snap) => {
+                        ctx.advance(disk_time(snap.bytes));
+                        let found = StoreGetResp::Found(Arc::clone(snap));
+                        ctx.reply(&env, found, snap.bytes);
+                    }
+                    None => ctx.reply(&env, StoreGetResp::Missing, 8),
+                }
+            }
+            other => panic!("storage: unknown tag {other}"),
         }
     }
 }
@@ -1192,9 +1078,13 @@ pub fn storage_main(disk_bytes_per_sec: f64) -> impl FnOnce(&mut SimCtx) {
 /// Spawn `n` PS-servers plus one storage process.
 pub fn deploy_ps(sim: &mut SimRuntime, n: usize, disk_bytes_per_sec: f64) -> (Vec<ProcId>, ProcId) {
     let servers = (0..n)
-        .map(|i| sim.spawn_daemon(&format!("ps-server-{i}"), ps_server_main))
+        .map(|i| sim.spawn_agent_daemon(&format!("ps-server-{i}"), PsServerAgent::new()))
         .collect();
-    let storage = sim.spawn_daemon("ps-storage", storage_main(disk_bytes_per_sec));
+    let storage = StorageAgent {
+        disk_bytes_per_sec,
+        store: HashMap::new(),
+    };
+    let storage = sim.spawn_agent_daemon("ps-storage", storage);
     (servers, storage)
 }
 
@@ -1202,12 +1092,139 @@ pub fn deploy_ps(sim: &mut SimRuntime, n: usize, disk_bytes_per_sec: f64) -> (Ve
 mod tests {
     use super::*;
     use crate::plan::Partitioning;
-    use crate::protocol::{ColsSel, PullReq, PushData, PushReq};
-    use ps2_simnet::SimBuilder;
+    use crate::protocol::{ColsSel, ElemOp, PullReq, PushData, PushReq};
+    use ps2_simnet::{SimBuilder, SimCtx};
+
+    /// Create `id` with a one-slot column plan of width 8 on `server`.
+    fn create_on(ctx: &mut SimCtx, server: ProcId, id: MatrixId, init: InitKind) {
+        let create = CreateReq {
+            id,
+            plan: Arc::new(PartitionPlan::new(8, 1, 1, Partitioning::Column)),
+            init,
+            slot: 0,
+            fleet: Arc::new(vec![server]),
+        };
+        let _: () = ctx.call(server, tags::CREATE, create, 96).downcast();
+    }
+
+    /// Row 0 of `id` as held by `server` (one segment).
+    fn row0(ctx: &mut SimCtx, server: ProcId, id: MatrixId) -> Vec<f64> {
+        let pull = PullReq {
+            id,
+            row: 0,
+            cols: ColsSel::All,
+            value_bytes: 8,
+        };
+        let reply: RowPullReply = ctx.call(server, tags::PULL, pull, 48).downcast();
+        reply.segs.concat()
+    }
+
+    /// A PS server whose FETCH_SEG replies leave 1 ms late.
+    struct SlowFetches(PsServerAgent);
+
+    const FETCH_DELAY: SimTime = SimTime(1_000_000);
+
+    impl Proc for SlowFetches {
+        fn on_message(&mut self, ctx: &mut StepCtx<'_>, env: Envelope) {
+            if env.tag == tags::FETCH_SEG {
+                ctx.advance(FETCH_DELAY);
+            }
+            self.0.on_message(ctx, env);
+        }
+    }
+
+    #[test]
+    fn a_retried_cross_elem_is_applied_once_and_acked_after_the_original() {
+        let mut sim = SimBuilder::new().seed(6).build();
+        let local = sim.spawn_agent_daemon("ps-server-0", PsServerAgent::new());
+        let remote = sim.spawn_agent_daemon("ps-server-1", SlowFetches(PsServerAgent::new()));
+        let out = sim.spawn_collect("driver", move |ctx| {
+            let (dst, src) = (MatrixId(1), MatrixId(2));
+            create_on(ctx, local, dst, InitKind::Zero);
+            create_on(ctx, remote, src, InitKind::Const(1.0));
+            let req = CrossElemReq {
+                dst_id: dst,
+                dst_row: 0,
+                src_id: src,
+                src_row: 0,
+                op: ElemOp::Add,
+                pieces: vec![(0, 8, remote)],
+                value_bytes: 8,
+                op_id: 5,
+            };
+            // The original, then its retry while the original's FETCH_SEG
+            // is still out at the slow peer.
+            let t0 = ctx.now();
+            let first = ctx.send_request(local, tags::CROSS_ELEM, req.clone(), 64);
+            let retry = ctx.send_request(local, tags::CROSS_ELEM, req, 64);
+            let a = ctx.recv_reply(&[first, retry], None).expect("an ack");
+            let b = ctx.recv_reply(&[first, retry], None).expect("both acks");
+            let acks: Vec<(u64, SimTime)> = [a, b].iter().map(|e| (e.corr, e.sent_at)).collect();
+            (first, retry, t0, acks, row0(ctx, local, dst))
+        });
+        sim.run().unwrap();
+        let (first, retry, t0, acks, row) = out.take();
+        assert_eq!(row, vec![1.0; 8], "applied exactly once");
+        assert_eq!(acks[0].0, first, "the original is acked first");
+        assert_eq!(acks[1].0, retry);
+        assert!(
+            acks[1].1 >= acks[0].1 && acks[1].1 - t0 > FETCH_DELAY,
+            "the retry was acked at {:?}, before the original applied at {:?}",
+            acks[1].1,
+            acks[0].1
+        );
+    }
+
+    #[test]
+    fn checkpoint_kill_restore_round_trips_on_agents() {
+        let mut sim = SimBuilder::new().seed(8).build();
+        let (servers, storage) = deploy_ps(&mut sim, 2, 500e6);
+        let out = sim.spawn_collect("driver", move |ctx| {
+            let id = MatrixId(1);
+            create_on(ctx, servers[1], id, InitKind::Const(2.0));
+            let checkpoint = CheckpointReq { storage, key: 1 };
+            let _: () = ctx
+                .call(servers[1], tags::CHECKPOINT, checkpoint, 48)
+                .downcast();
+            // A write after the checkpoint, then the server dies.
+            let push = PushReq {
+                id,
+                row: 0,
+                data: PushData::DenseSeg {
+                    lo: 0,
+                    values: Arc::new(vec![1.0; 8]),
+                },
+                op_id: 1,
+            };
+            let _: () = ctx.call(servers[1], tags::PUSH, push, 96).downcast();
+            ctx.kill(servers[1]);
+            let fresh = ctx.spawn_agent_daemon("ps-server-1r1", PsServerAgent::new());
+            create_on(ctx, fresh, id, InitKind::Zero);
+            let restore = |key| RestoreReq { storage, key };
+            let missing: bool = ctx.call(fresh, tags::RESTORE, restore(7), 48).downcast();
+            let before = row0(ctx, fresh, id);
+            let found: bool = ctx.call(fresh, tags::RESTORE, restore(1), 48).downcast();
+            (missing, before, found, row0(ctx, fresh, id))
+        });
+        sim.run().unwrap();
+        let (missing, before, found, after) = out.take();
+        assert!(!missing, "no snapshot under key 7");
+        assert_eq!(
+            before,
+            vec![0.0; 8],
+            "a missing snapshot leaves the shard as created"
+        );
+        assert!(found);
+        assert_eq!(
+            after,
+            vec![2.0; 8],
+            "the checkpointed values, not the later write"
+        );
+    }
 
     #[test]
     fn op_log_recognizes_duplicates() {
-        let mut log = OpLog::new();
+        let mut log = OpLog::default();
         let id = MatrixId(1);
         assert!(!log.check_and_record(id, 7));
         assert!(log.check_and_record(id, 7));
@@ -1217,7 +1234,7 @@ mod tests {
 
     #[test]
     fn op_log_evicts_oldest_at_capacity() {
-        let mut log = OpLog::new();
+        let mut log = OpLog::default();
         let id = MatrixId(1);
         for op in 0..OP_LOG_CAP as u64 {
             assert!(!log.check_and_record(id, op));
@@ -1232,7 +1249,7 @@ mod tests {
     #[test]
     fn duplicate_push_is_applied_once() {
         let mut sim = SimBuilder::new().seed(3).build();
-        let server = sim.spawn_daemon("ps-server-0", ps_server_main);
+        let server = sim.spawn_agent_daemon("ps-server-0", PsServerAgent::new());
         let out = sim.spawn_collect("driver", move |ctx| {
             let plan = Arc::new(PartitionPlan::new(8, 1, 1, Partitioning::Column));
             let create = CreateReq {
@@ -1272,7 +1289,7 @@ mod tests {
     #[test]
     fn duplicate_envelope_subs_are_applied_once() {
         let mut sim = SimBuilder::new().seed(5).build();
-        let server = sim.spawn_daemon("ps-server-0", ps_server_main);
+        let server = sim.spawn_agent_daemon("ps-server-0", PsServerAgent::new());
         let out = sim.spawn_collect("driver", move |ctx| {
             let plan = Arc::new(PartitionPlan::new(8, 1, 1, Partitioning::Column));
             let create = CreateReq {
@@ -1317,22 +1334,15 @@ mod tests {
         assert_eq!(out.take(), 1.0);
     }
 
-    /// Drive one server flavor: promote row 0 of a row table by reading it
-    /// at its owner until a reply carries the hint, push a delta, and —
-    /// once the push is acked — read row 0 from every server. Returns the
-    /// values read before and after the push and after a deduplicated
-    /// second push, per server, and the first push's round trip.
-    fn push_to_promoted_row(agents: bool) -> (Vec<f64>, Vec<f64>, Vec<f64>, SimTime) {
+    /// Promote row 0 of a row table by reading it at its owner until a
+    /// reply carries the hint, push a delta, and — once the push is acked —
+    /// read row 0 from every server. Returns the values read before and
+    /// after the push and after a deduplicated second push, per server, and
+    /// the first push's round trip.
+    fn push_to_promoted_row() -> (Vec<f64>, Vec<f64>, Vec<f64>, SimTime) {
         let mut sim = SimBuilder::new().seed(9).build();
         let servers: Vec<ProcId> = (0..4)
-            .map(|i| {
-                let name = format!("ps-server-{i}");
-                if agents {
-                    sim.spawn_agent_daemon(&name, PsServerAgent::new())
-                } else {
-                    sim.spawn_daemon(&name, ps_server_main)
-                }
-            })
+            .map(|i| sim.spawn_agent_daemon(&format!("ps-server-{i}"), PsServerAgent::new()))
             .collect();
         let out = sim.spawn_collect("driver", move |ctx| {
             let id = MatrixId(3);
@@ -1407,22 +1417,16 @@ mod tests {
     #[test]
     fn reads_after_a_promoted_push_is_acked_see_it_everywhere() {
         let latency = ps2_simnet::NetConfig::default().latency;
-        for agents in [true, false] {
-            let (before, after, deduped, push_rtt) = push_to_promoted_row(agents);
-            assert_eq!(before, vec![1.0; 4], "agents={agents}: replicas installed");
-            assert_eq!(after, vec![1.5; 4], "agents={agents}: replicas refreshed");
-            assert_eq!(
-                deduped,
-                vec![2.0; 4],
-                "agents={agents}: duplicate applied once"
-            );
-            // The ack waited for a peer round trip: two network crossings
-            // beyond the client's own two.
-            assert!(
-                push_rtt.as_nanos() > 4 * latency.as_nanos(),
-                "agents={agents}: push acked in {push_rtt:?}"
-            );
-        }
+        let (before, after, deduped, push_rtt) = push_to_promoted_row();
+        assert_eq!(before, vec![1.0; 4], "replicas installed");
+        assert_eq!(after, vec![1.5; 4], "replicas refreshed");
+        assert_eq!(deduped, vec![2.0; 4], "duplicate applied once");
+        // The ack waited for a peer round trip: two network crossings
+        // beyond the client's own two.
+        assert!(
+            push_rtt.as_nanos() > 4 * latency.as_nanos(),
+            "push acked in {push_rtt:?}"
+        );
     }
 
     #[test]

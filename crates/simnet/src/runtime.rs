@@ -1630,7 +1630,7 @@ impl SimRuntime {
         } else {
             None
         };
-        Ok(SimReport {
+        let report = SimReport {
             virtual_time,
             wall_time,
             total_msgs: st.total_msgs,
@@ -1644,6 +1644,20 @@ impl SimRuntime {
             timeseries,
             reqs,
             host,
-        })
+        };
+        drop(st);
+        // Free the run's state on a thread that exits right after. Agents
+        // are stepped on whichever thread drives the scheduler — mostly the
+        // proc threads — so their memory (PS shards above all) sits in
+        // those threads' malloc arenas. Freed on the caller's long-lived
+        // thread, small chunks of it would stay in the caller's thread
+        // cache and pin the tops of those arenas, and each run would leave
+        // its freed shards resident. An exiting thread hands its cache
+        // back, so the arenas can shrink.
+        let shared = self.shared;
+        std::thread::spawn(move || drop(shared))
+            .join()
+            .expect("state teardown");
+        Ok(report)
     }
 }

@@ -150,9 +150,7 @@ fn die(msg: &str) -> ! {
     exit(2)
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "\
+const USAGE: &str = "\
 usage: ps2-run <lr|deepwalk|gbdt|lda|svm|lbfgs|fm|serve> [flags]
 
 common flags:
@@ -216,8 +214,10 @@ serving flags (serve; defaults come from the preset):
   --agents N             aggregate client agents (each models thousands of users)
   --users-per-agent N    simulated users per agent
   --duration-ms N        open-loop generation window, virtual ms
-  --servers N            PS-server fleet size"
-    );
+  --servers N            PS-server fleet size";
+
+fn usage() -> ! {
+    eprintln!("{USAGE}");
     exit(2)
 }
 
@@ -225,6 +225,10 @@ fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     if argv.is_empty() {
         usage();
+    }
+    if argv.iter().any(|a| a == "--help" || a == "-h") {
+        println!("{USAGE}");
+        exit(0);
     }
     // `ps2-run --preset serve-kddb …` works without a workload word: when
     // the first token is already a flag, serving is the implied workload
